@@ -20,9 +20,10 @@
 //! | `throttle-residency`   | derived throttle residency is finite and within [0, 1]           |
 //!
 //! Policy segments are delimited by `boost.run` / `boost.summary`
-//! marker events: every policy run restarts its simulated clock, so the
-//! time, temperature, watermark and energy checks are scoped between
-//! the markers.
+//! marker events: a policy run on a fresh simulation restarts its
+//! clock, and each phase of a phased run starts where the last ended,
+//! so the time, temperature, watermark and energy checks are scoped
+//! between the markers.
 
 use darksil_obs::{EventRecord, EventStream, EventValue};
 
@@ -106,10 +107,14 @@ struct Segment {
     /// Σ `power_w · Δt` over the segment's `thermal.step` events.
     energy_j: f64,
     last_step_t: f64,
+    /// Control period from `boost.run`: the energy integral starts one
+    /// period before the first step — at zero for a run from a cold
+    /// chip, later for a phase that continues an earlier run.
+    period_s: Option<f64>,
 }
 
 impl Segment {
-    fn new(policy: String, threshold_c: Option<f64>) -> Self {
+    fn new(policy: String, threshold_c: Option<f64>, period_s: Option<f64>) -> Self {
         Self {
             policy,
             threshold_c,
@@ -118,6 +123,7 @@ impl Segment {
             pending_crossing: None,
             energy_j: 0.0,
             last_step_t: 0.0,
+            period_s,
         }
     }
 }
@@ -185,7 +191,11 @@ impl Oracle {
             match event.kind.as_str() {
                 "boost.run" => {
                     let policy = event.str_field("policy").unwrap_or("?").to_string();
-                    segment = Some(Segment::new(policy, event.f64_field("threshold_c")));
+                    segment = Some(Segment::new(
+                        policy,
+                        event.f64_field("threshold_c"),
+                        event.f64_field("period_s"),
+                    ));
                 }
                 "boost.summary" => {
                     if let Some(seg) = segment.take() {
@@ -286,14 +296,14 @@ impl Oracle {
         f: &mut Findings,
     ) {
         if let Some(t) = t_s {
-            if let Some(last) = seg.last_t {
-                if t <= last {
-                    f.record(
-                        "monotone-time",
-                        &event.seq,
-                        format!("t_s went from {last} to {t} within a {} run", seg.policy),
-                    );
-                }
+            match seg.last_t {
+                Some(last) if t <= last => f.record(
+                    "monotone-time",
+                    &event.seq,
+                    format!("t_s went from {last} to {t} within a {} run", seg.policy),
+                ),
+                Some(_) => {}
+                None => seg.last_step_t = seg.period_s.map_or(0.0, |period| t - period),
             }
             if let Some(power) = event.f64_field("power_w") {
                 seg.energy_j += power * (t - seg.last_step_t);

@@ -2,9 +2,10 @@
 
 use darksil_mapping::{Mapping, Platform};
 use darksil_power::VfLevel;
-use darksil_thermal::TransientSim;
-use darksil_units::{Celsius, Seconds, Watts};
+use darksil_thermal::ThermalMap;
+use darksil_units::{Celsius, Gips, Hertz, Seconds, Watts};
 
+use crate::kernel::{cold_start, simulate, Controller};
 use crate::{BoostError, PolicyConfig, PolicyTrace, TraceSample};
 
 /// Finds the highest discrete V/f level whose *steady state* keeps the
@@ -50,6 +51,20 @@ pub fn max_safe_level(
     Err(BoostError::NoFeasibleLevel)
 }
 
+/// Holds the levels already written into the mapping: the frequency
+/// and throughput to record every period.
+struct Hold(Hertz, Gips);
+
+impl Controller for Hold {
+    const POLICY: &'static str = "constant";
+
+    fn apply(&mut self, _working: &mut Mapping) -> (Hertz, Gips) {
+        (self.0, self.1)
+    }
+
+    fn react(&mut self, _working: &Mapping, _sample: &TraceSample, _map: &ThermalMap) {}
+}
+
 /// Runs the constant-frequency policy: pick [`max_safe_level`] once,
 /// then simulate the transient at that fixed level for `duration`.
 ///
@@ -63,51 +78,15 @@ pub fn run_constant(
     duration: Seconds,
     config: &PolicyConfig,
 ) -> Result<PolicyTrace, BoostError> {
-    if config.period.value() <= 0.0 || !config.period.value().is_finite() {
-        return Err(BoostError::InvalidConfig {
-            reason: format!("period must be positive, got {}", config.period),
-        });
-    }
-    if !duration.value().is_finite() || duration.value() <= 0.0 || duration < config.period {
-        return Err(BoostError::InvalidConfig {
-            reason: format!("duration {duration} shorter than one period"),
-        });
-    }
-    if mapping.entries().is_empty() {
-        return Err(BoostError::InvalidConfig {
-            reason: "mapping has no instances".into(),
-        });
-    }
-
+    let steps = config.steps(mapping, duration)?;
     let level = max_safe_level(platform, mapping, config)?;
-    crate::events::emit_run_start("constant", config);
-    let mut working = mapping.clone();
-    for entry in working.entries_mut() {
+    let mut fixed = mapping.clone();
+    for entry in fixed.entries_mut() {
         entry.level = level;
     }
-
-    let mut sim = TransientSim::new(platform.thermal(), config.period)?;
-    sim.set_watermark(config.threshold);
-    let steps = (duration.value() / config.period.value()).round() as usize;
-    let gips = working.total_gips(platform);
-    let mut trace = PolicyTrace::new();
-
-    for _ in 0..steps {
-        crate::error::check_step("constant-frequency policy step")?;
-        let temps: Vec<Celsius> = sim.snapshot().die_temperatures().collect();
-        let power_map = working.power_map_at(platform, &temps);
-        let total_power: Watts = power_map.iter().sum();
-        let map = sim.step(&power_map)?;
-        trace.push(TraceSample {
-            time: sim.elapsed(),
-            frequency: level.frequency,
-            peak_temperature: map.peak(),
-            gips,
-            power: total_power,
-        });
-    }
-    crate::events::emit_run_summary("constant", &trace);
-    Ok(trace)
+    let mut hold = Hold(level.frequency, fixed.total_gips(platform));
+    let mut sim = cold_start(platform, config)?;
+    simulate(platform, &mut sim, &fixed, steps, config, &mut hold)
 }
 
 #[cfg(test)]

@@ -105,15 +105,16 @@ impl From<BoostError> for darksil_robust::DarksilError {
     }
 }
 
-/// Polls the current cancellation token at a policy-step boundary.
+/// Polls the current cancellation token at a step boundary of a
+/// `policy` run.
 ///
 /// # Errors
 ///
 /// [`BoostError::Cancelled`] when the supervising deadline has passed
 /// or the job was cancelled; always `Ok` outside a supervised scope.
-pub(crate) fn check_step(what: &str) -> Result<(), BoostError> {
-    darksil_robust::check_deadline(what).map_err(|e| BoostError::Cancelled {
-        context: e.message().to_string(),
+pub(crate) fn check_step(policy: &str) -> Result<(), BoostError> {
+    darksil_robust::check_deadline("policy step").map_err(|e| BoostError::Cancelled {
+        context: format!("{policy} {}", e.message()),
     })
 }
 

@@ -21,11 +21,25 @@
 //! domain (modern per-core DVFS) for comparison against the paper's
 //! chip-wide loop, and [`run_phased_boosting`] strings workload phases
 //! through one thermal history — the boost budget is stateful.
+//!
+//! # One kernel, small controllers
+//!
+//! All four policies run one closed loop, a crate-private kernel: each
+//! control period it reads the per-core temperatures, evaluates the
+//! leakage-coupled power at them, steps the RC network, records a
+//! [`TraceSample`] and hands the step to the policy's controller. It
+//! also owns the cancellation check, the thermal watermark and the
+//! `boost.run` / `boost.summary` event segment, so the fuzzing oracle
+//! checks every policy. A controller only writes each period's V/f
+//! levels and reacts to a read-only view of the step: one chip-wide
+//! level (boosting, and each phase of a phased run), one per instance,
+//! or one held fixed (constant). A phased run calls the kernel once
+//! per phase on one simulation.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod constant;
 mod error;
-mod events;
+mod kernel;
 mod ntc;
 mod per_instance;
 mod phases;
@@ -35,9 +49,10 @@ mod turbo;
 
 pub use constant::{max_safe_level, run_constant};
 pub use error::BoostError;
+pub use kernel::PolicyConfig;
 pub use ntc::{iso_performance_comparison, IsoPerfComparison, OperatingPoint};
 pub use per_instance::run_per_instance_boosting;
 pub use phases::{run_phased_boosting, Phase};
 pub use sweep::{sweep_active_cores, SweepPoint};
 pub use trace::{PolicyTrace, TraceSample};
-pub use turbo::{run_boosting, PolicyConfig};
+pub use turbo::run_boosting;

@@ -18,10 +18,60 @@
 //! DVFS domains only pay off with finer thermal domains.
 
 use darksil_mapping::{Mapping, Platform};
-use darksil_thermal::TransientSim;
-use darksil_units::{Celsius, Hertz, Seconds, Watts};
+use darksil_thermal::ThermalMap;
+use darksil_units::{Celsius, Gips, Hertz, Seconds};
 
+use crate::kernel::{cold_start, simulate, Controller};
+use crate::turbo::nominal_max_index;
 use crate::{BoostError, PolicyConfig, PolicyTrace, TraceSample};
+
+/// One control loop per application instance.
+struct PerInstance<'a> {
+    platform: &'a Platform,
+    config: &'a PolicyConfig,
+    /// Each instance's index in the platform's DVFS ladder, in mapping
+    /// order.
+    levels: Vec<usize>,
+}
+
+impl Controller for PerInstance<'_> {
+    const POLICY: &'static str = "per_instance";
+
+    fn apply(&mut self, working: &mut Mapping) -> (Hertz, Gips) {
+        let ladder = self.platform.dvfs().levels();
+        for (entry, &idx) in working.entries_mut().iter_mut().zip(&self.levels) {
+            entry.level = ladder[idx];
+        }
+        let sum: f64 = self
+            .levels
+            .iter()
+            .map(|&idx| ladder[idx].frequency.value())
+            .sum();
+        (
+            Hertz::new(sum / self.levels.len() as f64),
+            working.total_gips(self.platform),
+        )
+    }
+
+    fn react(&mut self, working: &Mapping, sample: &TraceSample, map: &ThermalMap) {
+        // Each instance reacts to *its own* hottest core; the shared
+        // power cap throttles everyone.
+        let dvfs = self.platform.dvfs();
+        let over_cap = self.config.power_cap.is_some_and(|cap| sample.power > cap);
+        for (entry, idx) in working.entries().iter().zip(self.levels.iter_mut()) {
+            let instance_peak = entry
+                .cores
+                .iter()
+                .map(|c| map.core(*c))
+                .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max);
+            *idx = if instance_peak > self.config.threshold || over_cap {
+                dvfs.step_down(*idx)
+            } else {
+                dvfs.step_up(*idx)
+            };
+        }
+    }
+}
 
 /// Runs the per-instance boosting policy (see module docs).
 ///
@@ -35,78 +85,14 @@ pub fn run_per_instance_boosting(
     duration: Seconds,
     config: &PolicyConfig,
 ) -> Result<PolicyTrace, BoostError> {
-    if config.period.value() <= 0.0 || !config.period.value().is_finite() {
-        return Err(BoostError::InvalidConfig {
-            reason: format!("period must be positive, got {}", config.period),
-        });
-    }
-    if !duration.value().is_finite() || duration.value() <= 0.0 || duration < config.period {
-        return Err(BoostError::InvalidConfig {
-            reason: format!("duration {duration} shorter than one period"),
-        });
-    }
-    if mapping.entries().is_empty() {
-        return Err(BoostError::InvalidConfig {
-            reason: "mapping has no instances".into(),
-        });
-    }
-
-    let dvfs = platform.dvfs();
-    let start = dvfs
-        .floor_index(platform.node().nominal_max_frequency())
-        .unwrap_or(dvfs.len() - 1);
-    let mut levels = vec![start; mapping.entries().len()];
-
-    let mut sim = TransientSim::new(platform.thermal(), config.period)?;
-    let steps = (duration.value() / config.period.value()).round() as usize;
-    let mut working = mapping.clone();
-    let mut trace = PolicyTrace::new();
-
-    for _ in 0..steps {
-        crate::error::check_step("per-instance boosting step")?;
-        for (entry, &idx) in working.entries_mut().iter_mut().zip(&levels) {
-            if let Some(level) = dvfs.get(idx) {
-                entry.level = level;
-            }
-        }
-        let temps: Vec<Celsius> = sim.snapshot().die_temperatures().collect();
-        let power_map = working.power_map_at(platform, &temps);
-        let total_power: Watts = power_map.iter().sum();
-        let map = sim.step(&power_map)?;
-
-        // Mean frequency across instances for the trace.
-        let mean_freq = {
-            let sum: f64 = levels
-                .iter()
-                .map(|&i| dvfs.get(i).map_or(0.0, |l| l.frequency.value()))
-                .sum();
-            Hertz::new(sum / levels.len() as f64)
-        };
-        trace.push(TraceSample {
-            time: sim.elapsed(),
-            frequency: mean_freq,
-            peak_temperature: map.peak(),
-            gips: working.total_gips(platform),
-            power: total_power,
-        });
-
-        // Per-instance control: each instance reacts to *its own*
-        // hottest core; the shared power cap throttles everyone.
-        let over_cap = config.power_cap.is_some_and(|cap| total_power > cap);
-        for (entry, idx) in working.entries().iter().zip(levels.iter_mut()) {
-            let instance_peak = entry
-                .cores
-                .iter()
-                .map(|c| map.core(*c))
-                .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max);
-            if instance_peak > config.threshold || over_cap {
-                *idx = dvfs.step_down(*idx);
-            } else {
-                *idx = dvfs.step_up(*idx);
-            }
-        }
-    }
-    Ok(trace)
+    let steps = config.steps(mapping, duration)?;
+    let mut sim = cold_start(platform, config)?;
+    let mut controller = PerInstance {
+        platform,
+        config,
+        levels: vec![nominal_max_index(platform); mapping.entries().len()],
+    };
+    simulate(platform, &mut sim, mapping, steps, config, &mut controller)
 }
 
 #[cfg(test)]

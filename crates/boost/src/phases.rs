@@ -5,15 +5,17 @@
 //! application tens of seconds of boost residency (the package heat
 //! capacity absorbs the burst); the same application arriving after a
 //! hot phase starts throttled. [`run_phased_boosting`] strings several
-//! (mapping, duration) phases through a single [`TransientSim`] so that
+//! (mapping, duration) phases through a single
+//! [`TransientSim`](darksil_thermal::TransientSim) so that
 //! thermal history carries across phase boundaries, and returns one
 //! trace per phase.
 
 use darksil_mapping::{Mapping, Platform};
-use darksil_thermal::TransientSim;
-use darksil_units::{Celsius, Gips, Seconds, Watts};
+use darksil_units::Seconds;
 
-use crate::{BoostError, PolicyConfig, PolicyTrace, TraceSample};
+use crate::kernel::{cold_start, simulate};
+use crate::turbo::ChipWide;
+use crate::{BoostError, PolicyConfig, PolicyTrace};
 
 /// One phase of a phased run.
 #[derive(Debug, Clone)]
@@ -45,67 +47,36 @@ pub fn run_phased_boosting(
             reason: "no phases given".into(),
         });
     }
-    if config.period.value() <= 0.0 || !config.period.value().is_finite() {
-        return Err(BoostError::InvalidConfig {
-            reason: format!("period must be positive, got {}", config.period),
-        });
-    }
-    for (i, phase) in phases.iter().enumerate() {
-        if phase.duration < config.period || !phase.duration.value().is_finite() {
-            return Err(BoostError::InvalidConfig {
-                reason: format!("phase {i} shorter than one control period"),
-            });
-        }
-        if phase.mapping.entries().is_empty() {
-            return Err(BoostError::InvalidConfig {
-                reason: format!("phase {i} has an empty mapping"),
-            });
-        }
-    }
+    let steps = phases
+        .iter()
+        .enumerate()
+        .map(|(i, phase)| {
+            config
+                .steps(&phase.mapping, phase.duration)
+                .map_err(|e| match e {
+                    BoostError::InvalidConfig { reason } => BoostError::InvalidConfig {
+                        reason: format!("phase {i}: {reason}"),
+                    },
+                    other => other,
+                })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let dvfs = platform.dvfs();
-    let mut sim = TransientSim::new(platform.thermal(), config.period)?;
-    let mut traces = Vec::with_capacity(phases.len());
-
-    for phase in phases {
-        let mut level_idx = dvfs
-            .floor_index(platform.node().nominal_max_frequency())
-            .unwrap_or(dvfs.len() - 1);
-        let mut working = phase.mapping.clone();
-        let steps = (phase.duration.value() / config.period.value()).round() as usize;
-        let mut trace = PolicyTrace::new();
-
-        for _ in 0..steps {
-            crate::error::check_step("phased boosting step")?;
-            let Some(level) = dvfs.get(level_idx) else {
-                break;
-            };
-            for entry in working.entries_mut() {
-                entry.level = level;
-            }
-            let temps: Vec<Celsius> = sim.snapshot().die_temperatures().collect();
-            let power_map = working.power_map_at(platform, &temps);
-            let total_power: Watts = power_map.iter().sum();
-            let map = sim.step(&power_map)?;
-            let peak = map.peak();
-            let gips: Gips = working.total_gips(platform);
-            trace.push(TraceSample {
-                time: sim.elapsed(),
-                frequency: level.frequency,
-                peak_temperature: peak,
-                gips,
-                power: total_power,
-            });
-            let over_cap = config.power_cap.is_some_and(|cap| total_power > cap);
-            if peak > config.threshold || over_cap {
-                level_idx = dvfs.step_down(level_idx);
-            } else {
-                level_idx = dvfs.step_up(level_idx);
-            }
-        }
-        traces.push(trace);
-    }
-    Ok(traces)
+    let mut sim = cold_start(platform, config)?;
+    phases
+        .iter()
+        .zip(steps)
+        .map(|(phase, steps)| {
+            simulate(
+                platform,
+                &mut sim,
+                &phase.mapping,
+                steps,
+                config,
+                &mut ChipWide::new(platform, config),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -113,7 +84,7 @@ mod tests {
     use super::*;
     use darksil_mapping::place_patterned;
     use darksil_power::TechnologyNode;
-    use darksil_units::Hertz;
+    use darksil_units::{Celsius, Hertz};
     use darksil_workload::{ParsecApp, Workload};
 
     fn platform() -> Platform {
@@ -192,6 +163,19 @@ mod tests {
         let start_of_second = traces[1].samples().first().expect("test value").time;
         assert!(start_of_second > end_of_first);
         assert!((start_of_second.value() - 2.02).abs() < 1e-9);
+        // The second phase's energy integrates from its own start, not
+        // from t = 0.
+        let period = config().period.value();
+        let own: f64 = traces[1]
+            .samples()
+            .iter()
+            .map(|s| s.power.value() * period)
+            .sum();
+        let energy = traces[1].total_energy().value();
+        assert!(
+            (energy - own).abs() < 1e-9 * own,
+            "second phase reports {energy} J, its samples integrate to {own} J"
+        );
     }
 
     #[test]

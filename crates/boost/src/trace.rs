@@ -22,14 +22,25 @@ pub struct TraceSample {
 /// The full trace of a transient policy run (Figure 11's curves).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PolicyTrace {
+    /// Simulated time the run started at: zero from a cold chip, later
+    /// for a phase that continues an earlier thermal history.
+    start: Seconds,
     samples: Vec<TraceSample>,
 }
 
 impl PolicyTrace {
-    /// Creates an empty trace.
+    /// Creates an empty trace starting at t = 0.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty trace for a run starting at `start`.
+    pub(crate) fn starting_at(start: Seconds) -> Self {
+        Self {
+            start,
+            samples: Vec::new(),
+        }
     }
 
     /// Appends a sample.
@@ -129,11 +140,12 @@ impl PolicyTrace {
             .fold(Celsius::new(f64::INFINITY), Celsius::min)
     }
 
-    /// Total energy consumed over the run (Σ P·Δt).
+    /// Total energy consumed over the run (Σ P·Δt, from the run's
+    /// start).
     #[must_use]
     pub fn total_energy(&self) -> Joules {
         let mut energy = Joules::zero();
-        let mut last_t = Seconds::zero();
+        let mut last_t = self.start;
         for s in &self.samples {
             let dt = s.time - last_t;
             energy += s.power * dt;

@@ -1,52 +1,85 @@
 //! The closed-loop boosting controller.
 
 use darksil_mapping::{Mapping, Platform};
-use darksil_thermal::TransientSim;
-use darksil_units::{Celsius, Gips, Seconds, Watts};
+use darksil_thermal::ThermalMap;
+use darksil_units::{Gips, Hertz, Seconds};
 
-use crate::{BoostError, PolicyTrace, TraceSample};
+use crate::kernel::{cold_start, simulate, Controller};
+use crate::{BoostError, PolicyConfig, PolicyTrace, TraceSample};
 
-/// Configuration shared by the transient policies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolicyConfig {
-    /// Thermal threshold the controller regulates to (80 °C in §6).
-    pub threshold: Celsius,
-    /// Control period (1 ms for Intel-style turbo, §6).
-    pub period: Seconds,
-    /// Optional electrical power cap (500 W in §6). Exceeding it forces
-    /// a step down regardless of temperature.
-    pub power_cap: Option<Watts>,
+/// The §6 chip-wide loop: every core runs one V/f level, which moves
+/// one 200 MHz step per period — down while the peak is over the
+/// threshold or the power is over the cap, up otherwise.
+pub(crate) struct ChipWide<'a> {
+    platform: &'a Platform,
+    config: &'a PolicyConfig,
+    /// Index of the current level in the platform's DVFS ladder.
+    level: usize,
 }
 
-impl Default for PolicyConfig {
-    fn default() -> Self {
+impl<'a> ChipWide<'a> {
+    /// Starts at the nominal maximum frequency, as a newly arrived
+    /// workload requests full speed.
+    pub(crate) fn new(platform: &'a Platform, config: &'a PolicyConfig) -> Self {
         Self {
-            threshold: Celsius::new(80.0),
-            period: Seconds::new(1.0e-3),
-            power_cap: Some(Watts::new(500.0)),
+            platform,
+            config,
+            level: nominal_max_index(platform),
         }
     }
 }
 
-impl PolicyConfig {
-    fn validate(&self, mapping: &Mapping, duration: Seconds) -> Result<(), BoostError> {
-        if self.period.value() <= 0.0 || !self.period.value().is_finite() {
-            return Err(BoostError::InvalidConfig {
-                reason: format!("period must be positive, got {}", self.period),
-            });
+impl Controller for ChipWide<'_> {
+    const POLICY: &'static str = "boosting";
+
+    fn apply(&mut self, working: &mut Mapping) -> (Hertz, Gips) {
+        let level = self.platform.dvfs().levels()[self.level];
+        for entry in working.entries_mut() {
+            entry.level = level;
         }
-        if !duration.value().is_finite() || duration.value() <= 0.0 || duration < self.period {
-            return Err(BoostError::InvalidConfig {
-                reason: format!("duration {duration} shorter than one period"),
-            });
-        }
-        if mapping.entries().is_empty() {
-            return Err(BoostError::InvalidConfig {
-                reason: "mapping has no instances".into(),
-            });
-        }
-        Ok(())
+        (level.frequency, working.total_gips(self.platform))
     }
+
+    fn react(&mut self, _working: &Mapping, sample: &TraceSample, _map: &ThermalMap) {
+        let dvfs = self.platform.dvfs();
+        let peak = sample.peak_temperature;
+        let over_cap = self.config.power_cap.is_some_and(|cap| sample.power > cap);
+        let from = self.level;
+        self.level = if peak > self.config.threshold || over_cap {
+            dvfs.step_down(from)
+        } else {
+            dvfs.step_up(from)
+        };
+        if self.level != from && darksil_obs::events_enabled() {
+            // The controller changed the chip-wide V/f level: record the
+            // transition with whichever condition forced the decision.
+            let reason = if peak > self.config.threshold {
+                "thermal"
+            } else if over_cap {
+                "power_cap"
+            } else {
+                "boost"
+            };
+            let to_ghz = dvfs.levels()[self.level].frequency.as_ghz();
+            darksil_obs::event("boost.transition", || {
+                vec![
+                    ("t_s", sample.time.value().into()),
+                    ("from_ghz", sample.frequency.as_ghz().into()),
+                    ("to_ghz", to_ghz.into()),
+                    ("peak_c", peak.value().into()),
+                    ("reason", reason.into()),
+                ]
+            });
+        }
+    }
+}
+
+/// Index of the highest DVFS level at or below the node's nominal
+/// maximum frequency (the top level if none is).
+pub(crate) fn nominal_max_index(platform: &Platform) -> usize {
+    let dvfs = platform.dvfs();
+    dvfs.floor_index(platform.node().nominal_max_frequency())
+        .unwrap_or(dvfs.len() - 1)
 }
 
 /// Runs the boosting policy: every period the chip-wide V/f level steps
@@ -68,76 +101,16 @@ pub fn run_boosting(
     duration: Seconds,
     config: &PolicyConfig,
 ) -> Result<PolicyTrace, BoostError> {
-    config.validate(mapping, duration)?;
-    crate::events::emit_run_start("boosting", config);
-    let dvfs = platform.dvfs();
-    let mut level_idx = dvfs
-        .floor_index(platform.node().nominal_max_frequency())
-        .unwrap_or(dvfs.len() - 1);
-
-    let mut sim = TransientSim::new(platform.thermal(), config.period)?;
-    sim.set_watermark(config.threshold);
-    let steps = (duration.value() / config.period.value()).round() as usize;
-    let mut working = mapping.clone();
-    let mut trace = PolicyTrace::new();
-
-    for _ in 0..steps {
-        crate::error::check_step("turbo boosting step")?;
-        let Some(level) = dvfs.get(level_idx) else {
-            break;
-        };
-        for entry in working.entries_mut() {
-            entry.level = level;
-        }
-        // Power from current per-core temperatures (leakage coupling).
-        let temps: Vec<Celsius> = sim.snapshot().die_temperatures().collect();
-        let power_map = working.power_map_at(platform, &temps);
-        let total_power: Watts = power_map.iter().sum();
-        let map = sim.step(&power_map)?;
-        let peak = map.peak();
-
-        let gips: Gips = working.total_gips(platform);
-        trace.push(TraceSample {
-            time: sim.elapsed(),
-            frequency: level.frequency,
-            peak_temperature: peak,
-            gips,
-            power: total_power,
-        });
-
-        let over_cap = config.power_cap.is_some_and(|cap| total_power > cap);
-        let prev_idx = level_idx;
-        if peak > config.threshold || over_cap {
-            level_idx = dvfs.step_down(level_idx);
-        } else {
-            level_idx = dvfs.step_up(level_idx);
-        }
-        if level_idx != prev_idx && darksil_obs::events_enabled() {
-            // The controller changed the chip-wide V/f level: record the
-            // transition with whichever condition forced the decision.
-            let reason = if peak > config.threshold {
-                "thermal"
-            } else if over_cap {
-                "power_cap"
-            } else {
-                "boost"
-            };
-            let to_ghz = dvfs
-                .get(level_idx)
-                .map_or(level.frequency.as_ghz(), |l| l.frequency.as_ghz());
-            darksil_obs::event("boost.transition", || {
-                vec![
-                    ("t_s", sim.elapsed().value().into()),
-                    ("from_ghz", level.frequency.as_ghz().into()),
-                    ("to_ghz", to_ghz.into()),
-                    ("peak_c", peak.value().into()),
-                    ("reason", reason.into()),
-                ]
-            });
-        }
-    }
-    crate::events::emit_run_summary("boosting", &trace);
-    Ok(trace)
+    let steps = config.steps(mapping, duration)?;
+    let mut sim = cold_start(platform, config)?;
+    simulate(
+        platform,
+        &mut sim,
+        mapping,
+        steps,
+        config,
+        &mut ChipWide::new(platform, config),
+    )
 }
 
 #[cfg(test)]
@@ -145,7 +118,7 @@ mod tests {
     use super::*;
     use darksil_mapping::place_patterned;
     use darksil_power::TechnologyNode;
-    use darksil_units::Hertz;
+    use darksil_units::{Celsius, Hertz, Watts};
     use darksil_workload::{ParsecApp, Workload};
 
     fn setup() -> (Platform, Mapping) {

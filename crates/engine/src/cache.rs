@@ -34,18 +34,7 @@ pub const DEFAULT_CACHE_DIR: &str = "results/.cache";
 /// read as stale and are recomputed.
 const SCHEMA: &str = "darksil-cache-v2";
 
-/// Stable 64-bit FNV-1a hash. Not cryptographic — it keys a local
-/// result cache, where speed and stability across runs are what
-/// matters.
-#[must_use]
-pub fn stable_hash(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
+pub use darksil_robust::fnv1a as stable_hash;
 
 /// The content address of one cached result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -514,14 +503,6 @@ fn verify_entry(path: &Path) -> (Option<String>, EntryCondition) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(stable_hash(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(stable_hash(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(stable_hash(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn keys_are_stable_and_sensitive_to_every_component() {

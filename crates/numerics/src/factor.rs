@@ -2,16 +2,13 @@
 //!
 //! The thermal RC conductance topology is fixed per floorplan — across a
 //! sweep, a fixed-point iteration, or a pattern-optimisation loop only
-//! the power right-hand side (and occasionally a few diagonal terms)
-//! change. This module exploits that structure:
+//! the power right-hand side changes. This module exploits that
+//! structure:
 //!
 //! * [`factor_spd`] runs a fill-reducing minimum-degree ordering
 //!   and a symbolic analysis **once**, producing reusable
 //!   [`SpdFactors`]; every subsequent [`SpdFactors::solve`] is a sparse
 //!   forward/diagonal/backward substitution — no iteration at all.
-//! * [`SpdFactors::refactor_diagonal`] re-runs only the numeric phase
-//!   when diagonal terms change (e.g. a convection or leakage knob),
-//!   reusing the ordering and symbolic structure.
 //! * [`SpdFactors::solve_many`] batches multi-RHS solves.
 //! * [`FactorCache`] keys factors by a content digest of the matrix —
 //!   the same discipline as the engine's content-addressed result cache
@@ -29,6 +26,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+use darksil_robust::{fnv1a_extend, FNV1A_EMPTY};
 
 use crate::robust::solve_chain_from;
 use crate::{norm2, CgOptions, CsrMatrix, NumericsError, SolveDiagnostics, SolveStage};
@@ -122,9 +121,7 @@ fn min_degree_order(a: &CsrMatrix) -> Vec<usize> {
 ///
 /// Produced by [`factor_spd`]. The fill-reducing ordering and symbolic
 /// analysis are done once at construction; [`SpdFactors::solve`] and
-/// [`SpdFactors::solve_many`] are pure substitutions, and
-/// [`SpdFactors::refactor_diagonal`] re-runs only the numeric phase when
-/// diagonal entries change.
+/// [`SpdFactors::solve_many`] are pure substitutions.
 #[derive(Debug, Clone)]
 pub struct SpdFactors {
     n: usize,
@@ -133,13 +130,10 @@ pub struct SpdFactors {
     /// Elimination tree over permuted indices (`NONE` = root).
     parent: Vec<usize>,
     /// Permuted upper triangle of `A` in compressed-column form (the
-    /// numeric phase's input; kept so diagonal updates can refactor
-    /// without the original matrix).
+    /// numeric phase's input).
     b_colptr: Vec<usize>,
     b_rowidx: Vec<usize>,
     b_values: Vec<f64>,
-    /// Position of each diagonal entry in `b_values`, by permuted index.
-    diag_pos: Vec<usize>,
     /// `L` (unit diagonal, strictly-lower part) in compressed-column form.
     l_colptr: Vec<usize>,
     /// Row indices are stored narrow (`u32`) to halve the memory the
@@ -291,34 +285,6 @@ impl SpdFactors {
         rhs.iter().map(|b| self.solve(b.as_ref())).collect()
     }
 
-    /// Replaces the matrix diagonal (given in original node order) and
-    /// re-runs the numeric factorisation, reusing the ordering and
-    /// symbolic structure. Exactly equivalent to factoring the updated
-    /// matrix from scratch, at a fraction of the cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::DimensionMismatch`] for a wrong-length
-    /// diagonal, [`NumericsError::NonFinite`] for NaN/Inf entries, and
-    /// [`NumericsError::SingularMatrix`] when the updated matrix is no
-    /// longer positive definite.
-    pub fn refactor_diagonal(&mut self, diag: &[f64]) -> Result<(), NumericsError> {
-        if diag.len() != self.n {
-            return Err(NumericsError::DimensionMismatch {
-                context: format!("diagonal has {} entries, matrix has {}", diag.len(), self.n),
-            });
-        }
-        if let Some(bad) = diag.iter().position(|v| !v.is_finite()) {
-            return Err(NumericsError::NonFinite {
-                context: format!("diagonal entry {bad} is {}", diag[bad]),
-            });
-        }
-        for (k, &pos) in self.diag_pos.iter().enumerate() {
-            self.b_values[pos] = diag[self.perm[k]];
-        }
-        self.numeric()
-    }
-
     /// Chooses the dense trailing block and packs its columns from the
     /// just-computed sparse factor. Runs after every numeric phase.
     #[allow(clippy::cast_precision_loss)]
@@ -420,9 +386,8 @@ impl SpdFactors {
 /// analysis, then the numeric factorisation.
 ///
 /// The result is reusable: solve any number of right-hand sides with
-/// [`SpdFactors::solve`] / [`SpdFactors::solve_many`], and absorb
-/// diagonal-only matrix updates with [`SpdFactors::refactor_diagonal`]
-/// without repeating the symbolic work.
+/// [`SpdFactors::solve`] / [`SpdFactors::solve_many`] without repeating
+/// the factorisation.
 ///
 /// # Errors
 ///
@@ -481,19 +446,17 @@ pub fn factor_spd(a: &CsrMatrix) -> Result<SpdFactors, NumericsError> {
     let mut b_colptr = vec![0_usize; n + 1];
     let mut b_rowidx = Vec::with_capacity(upper.len());
     let mut b_values = Vec::with_capacity(upper.len());
-    let mut diag_pos = vec![NONE; n];
+    let mut has_diag = vec![false; n];
     for &(c, r, v) in &upper {
         b_colptr[c + 1] += 1;
-        if r == c {
-            diag_pos[c] = b_rowidx.len();
-        }
+        has_diag[c] |= r == c;
         b_rowidx.push(r);
         b_values.push(v);
     }
     for c in 0..n {
         b_colptr[c + 1] += b_colptr[c];
     }
-    if let Some(k) = diag_pos.iter().position(|&p| p == NONE) {
+    if let Some(k) = has_diag.iter().position(|&present| !present) {
         // A structurally missing diagonal cannot be positive definite.
         return Err(NumericsError::SingularMatrix { pivot: perm[k] });
     }
@@ -529,7 +492,6 @@ pub fn factor_spd(a: &CsrMatrix) -> Result<SpdFactors, NumericsError> {
         b_colptr,
         b_rowidx,
         b_values,
-        diag_pos,
         l_colptr,
         l_rowidx: vec![0; nnz_l],
         l_values: vec![0.0; nnz_l],
@@ -552,15 +514,8 @@ pub fn factor_spd(a: &CsrMatrix) -> Result<SpdFactors, NumericsError> {
 /// content-addressed result cache.
 #[must_use]
 pub fn matrix_digest(a: &CsrMatrix) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = FNV1A_EMPTY;
+    let mut mix = |word: u64| h = fnv1a_extend(h, &word.to_le_bytes());
     mix(a.rows() as u64);
     mix(a.cols() as u64);
     for (r, c, v) in a.iter() {
@@ -898,33 +853,6 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_refactor_matches_from_scratch() {
-        let a = grid_laplacian(7, 5);
-        let mut f = factor_spd(&a).expect("grid is SPD");
-        // Bump every diagonal entry (e.g. a changed convection term).
-        let new_diag: Vec<f64> = a
-            .diagonal()
-            .iter()
-            .enumerate()
-            .map(|(i, d)| d + 0.1 + (i % 3) as f64 * 0.05)
-            .collect();
-        f.refactor_diagonal(&new_diag).expect("refactor succeeds");
-
-        let mut t = TripletMatrix::new(35, 35);
-        for (r, c, v) in a.iter() {
-            if r != c {
-                t.add(r, c, v);
-            }
-        }
-        for (i, &d) in new_diag.iter().enumerate() {
-            t.add(i, i, d);
-        }
-        let fresh = factor_spd(&t.to_csr()).expect("updated grid is SPD");
-        assert_eq!(f.l_values, fresh.l_values);
-        assert_eq!(f.d, fresh.d);
-    }
-
-    #[test]
     fn non_spd_matrix_is_rejected() {
         let mut t = TripletMatrix::new(2, 2);
         t.add(0, 0, -1.0);
@@ -964,11 +892,6 @@ mod tests {
         let f = factor_spd(&grid_laplacian(3, 3)).expect("grid is SPD");
         assert!(matches!(
             f.solve(&[1.0; 4]),
-            Err(NumericsError::DimensionMismatch { .. })
-        ));
-        let mut f2 = f;
-        assert!(matches!(
-            f2.refactor_diagonal(&[1.0; 4]),
             Err(NumericsError::DimensionMismatch { .. })
         ));
     }

@@ -15,10 +15,7 @@
 //! fill-reducing ordering and symbolic analysis **once**, returning
 //! reusable [`SpdFactors`] whose [`solve`](SpdFactors::solve) /
 //! [`solve_many`](SpdFactors::solve_many) are pure sparse
-//! substitutions, and whose
-//! [`refactor_diagonal`](SpdFactors::refactor_diagonal) absorbs
-//! diagonal-only matrix updates without repeating the symbolic work.
-//! [`FactorCache`] keys factors by content digest (bounded,
+//! substitutions. [`FactorCache`] keys factors by content digest (bounded,
 //! thread-safe), and [`solve_spd_cached`] is the drop-in entry point:
 //! factored solve + residual check, falling back to the robust chain
 //! when the matrix is unfactorable or the solution drifts.

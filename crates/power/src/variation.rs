@@ -14,6 +14,8 @@
 //! frequency factors are `min(1, 1 + N(0, σ_f))` clamped to a floor —
 //! a core can only be as fast as the nominal design or slower.
 
+use darksil_robust::SplitMix64;
+
 use crate::PowerError;
 
 /// Lowest admissible per-core frequency factor: even the slowest
@@ -83,9 +85,9 @@ impl VariationModel {
         // Mean-one log-normal: E[exp(N(0,σ))] = exp(σ²/2).
         let bias = self.leakage_sigma * self.leakage_sigma / 2.0;
         for _ in 0..cores {
-            let zl = rng.next_gaussian();
+            let zl = rng.next_normal();
             leakage.push((self.leakage_sigma * zl - bias).exp());
-            let zf = rng.next_gaussian();
+            let zf = rng.next_normal();
             let f = (1.0 + self.frequency_sigma * zf).min(1.0);
             frequency.push(f.max(MIN_FREQUENCY_FACTOR));
         }
@@ -164,48 +166,6 @@ impl VariationMap {
         let mut idx: Vec<usize> = (0..self.leakage.len()).collect();
         idx.sort_by(|&a, &b| self.leakage[a].total_cmp(&self.leakage[b]).then(a.cmp(&b)));
         idx
-    }
-}
-
-/// SplitMix64 with a Box–Muller Gaussian on top — deterministic,
-/// dependency-free.
-#[derive(Debug)]
-struct SplitMix64 {
-    state: u64,
-    cached: Option<f64>,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        Self {
-            state: seed,
-            cached: None,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in (0, 1].
-    fn next_unit(&mut self) -> f64 {
-        ((self.next_u64() >> 11) as f64 + 1.0) / (1_u64 << 53) as f64
-    }
-
-    fn next_gaussian(&mut self) -> f64 {
-        if let Some(z) = self.cached.take() {
-            return z;
-        }
-        let u1 = self.next_unit();
-        let u2 = self.next_unit();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.cached = Some(r * theta.sin());
-        r * theta.cos()
     }
 }
 

@@ -25,6 +25,7 @@
 mod cancel;
 mod error;
 mod fault;
+mod hash;
 mod rng;
 
 pub use cancel::{
@@ -33,4 +34,5 @@ pub use cancel::{
 };
 pub use error::{DarksilError, ErrorClass};
 pub use fault::{Fault, FaultPlan};
+pub use hash::{fnv1a, fnv1a_extend, FNV1A_EMPTY};
 pub use rng::SplitMix64;

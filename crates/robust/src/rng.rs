@@ -1,17 +1,23 @@
-//! A tiny deterministic PRNG for fault injection and shim testing.
+//! The workspace's one deterministic PRNG.
 
 /// SplitMix64: fast, dependency-free, and statistically adequate for
-/// test-input generation and fault scheduling (not cryptography).
+/// fault scheduling, process-variation maps and Monte-Carlo draws (not
+/// cryptography).
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
+    /// Second half of the last Box–Muller pair, for [`Self::next_normal`].
+    cached: Option<f64>,
 }
 
 impl SplitMix64 {
     /// Seeds the generator.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        Self { state: seed }
+        Self {
+            state: seed,
+            cached: None,
+        }
     }
 
     /// Next raw 64-bit value.
@@ -48,6 +54,23 @@ impl SplitMix64 {
         }
         acc - 6.0
     }
+
+    /// An exact standard-normal sample (Box–Muller on uniforms in
+    /// (0, 1], pair-cached: every second call returns the other half of
+    /// the previous pair).
+    #[allow(clippy::cast_precision_loss)]
+    pub fn next_normal(&mut self) -> f64 {
+        if let Some(z) = self.cached.take() {
+            return z;
+        }
+        let mut unit = || ((self.next_u64() >> 11) as f64 + 1.0) / (1_u64 << 53) as f64;
+        let u1 = unit();
+        let u2 = unit();
+        let r = (-2.0 * u1.ln()).sqrt();
+        let theta = 2.0 * std::f64::consts::PI * u2;
+        self.cached = Some(r * theta.sin());
+        r * theta.cos()
+    }
 }
 
 #[cfg(test)]
@@ -81,5 +104,16 @@ mod tests {
         assert!((sum / 1000.0 - 0.5).abs() < 0.05);
         let g: f64 = (0..1000).map(|_| r.next_gaussian()).sum::<f64>() / 1000.0;
         assert!(g.abs() < 0.2);
+    }
+
+    #[test]
+    fn normals_are_roughly_standard() {
+        let mut r = SplitMix64::new(42);
+        let n = 10_000;
+        let draws: Vec<f64> = (0..n).map(|_| r.next_normal()).collect();
+        let mean = draws.iter().sum::<f64>() / f64::from(n);
+        let var = draws.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / f64::from(n);
+        assert!(mean.abs() < 0.05, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.08, "var {var}");
     }
 }

@@ -6,22 +6,9 @@
 //! CLI writes under `results/`.
 
 use darksil_json::Json;
+use darksil_obs::svg::esc;
 
 use crate::registry::JobRecord;
-
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(ch),
-        }
-    }
-    out
-}
 
 fn attempt_row(attempt: &Json) -> String {
     let field = |name: &str| -> String {
@@ -42,11 +29,11 @@ fn attempt_row(attempt: &Json) -> String {
     };
     format!(
         "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-        escape(&field("attempt")),
-        escape(&field("outcome")),
-        escape(&field("degraded")),
-        escape(&field("backoff_ms")),
-        escape(&field("error")),
+        esc(&field("attempt")),
+        esc(&field("outcome")),
+        esc(&field("degraded")),
+        esc(&field("backoff_ms")),
+        esc(&field("error")),
     )
 }
 
@@ -58,7 +45,7 @@ pub fn render(record: &JobRecord, artefact: Option<&Json>) -> String {
     html.push_str("<!doctype html>\n<html><head><meta charset=\"utf-8\">\n");
     html.push_str(&format!(
         "<title>darksil job {}</title>\n",
-        escape(&record.digest)
+        esc(&record.digest)
     ));
     html.push_str(
         "<style>body{font-family:system-ui,sans-serif;margin:2rem;max-width:60rem}\
@@ -68,19 +55,19 @@ pub fn render(record: &JobRecord, artefact: Option<&Json>) -> String {
     );
     html.push_str(&format!(
         "<h1>Job <code>{}</code></h1>\n",
-        escape(&record.digest)
+        esc(&record.digest)
     ));
     html.push_str(&format!(
         "<p>state: <span class=\"state\">{}</span> · tenants: {} · {:.3}s</p>\n",
-        escape(record.state.label()),
-        escape(&record.tenants.join(", ")),
+        esc(record.state.label()),
+        esc(&record.tenants.join(", ")),
         record.seconds
     ));
     if let Some(error) = &record.error {
-        html.push_str(&format!("<p>error: <code>{}</code></p>\n", escape(error)));
+        html.push_str(&format!("<p>error: <code>{}</code></p>\n", esc(error)));
     }
     if let Some(cache) = &record.cache {
-        html.push_str(&format!("<p>cache: {}</p>\n", escape(cache)));
+        html.push_str(&format!("<p>cache: {}</p>\n", esc(cache)));
     }
     if record.attempts.is_empty() {
         html.push_str("<p>No attempts recorded yet.</p>\n");
@@ -97,7 +84,7 @@ pub fn render(record: &JobRecord, artefact: Option<&Json>) -> String {
     }
     if let Some(payload) = artefact {
         html.push_str("<h2>Artefact</h2>\n<pre>");
-        html.push_str(&escape(&payload.pretty()));
+        html.push_str(&esc(&payload.pretty()));
         html.push_str("</pre>\n");
     }
     html.push_str("</body></html>\n");

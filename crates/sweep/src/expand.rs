@@ -3,7 +3,7 @@
 //! Deterministic axes (`list`, `range`, `logrange`) expand into a
 //! row-major cartesian grid (last axis fastest); each grid point is
 //! evaluated `draws` times, with every `gauss` axis re-sampled per draw
-//! from a [`DrawRng`] keyed by `(seed, point_index, draw_index)` — so
+//! from a generator keyed by `(seed, point_index, draw_index)` — so
 //! any single evaluation regenerates in isolation. Every expanded
 //! scenario passes the strict scenario validator before the plan is
 //! returned; plan construction touches no clock and no global state,
@@ -11,7 +11,7 @@
 
 use darksil_scenario::{validate_scenario, Scenario};
 
-use crate::rng::DrawRng;
+use crate::rng::cell_rng;
 use crate::spec::{apply_param, AxisKind, AxisValue, SweepSpec, MAX_GRID_POINTS};
 use crate::SweepError;
 
@@ -166,13 +166,13 @@ pub fn expand(spec: &SweepSpec) -> Result<SweepPlan, SweepError> {
                 apply_param(&mut scenario, param, value)
                     .map_err(|msg| SweepError::Invalid(format!("point {point_index}: {msg}")))?;
             }
-            let mut rng = DrawRng::for_cell(spec.seed, point_index, draw_index);
+            let mut rng = cell_rng(spec.seed, point_index, draw_index);
             let mut sampled: Vec<(String, f64)> = Vec::with_capacity(gauss_axes.len());
             for (param, kind) in &gauss_axes {
                 let AxisKind::Gauss(gauss) = kind else {
                     continue;
                 };
-                let value = gauss.clamp(gauss.sigma.mul_add(rng.next_gaussian(), gauss.mean));
+                let value = gauss.clamp(gauss.sigma.mul_add(rng.next_normal(), gauss.mean));
                 apply_param(&mut scenario, param, &AxisValue::Num(value)).map_err(|msg| {
                     SweepError::Invalid(format!("point {point_index} draw {draw_index}: {msg}"))
                 })?;

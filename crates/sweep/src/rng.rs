@@ -1,68 +1,29 @@
-//! The sweep's Monte-Carlo RNG: SplitMix64 with a Box–Muller Gaussian,
-//! keyed per `(seed, point_index, draw_index)`.
+//! The sweep's Monte-Carlo RNG: the workspace SplitMix64 keyed per
+//! `(seed, point_index, draw_index)`, sampled with its Box–Muller
+//! normal.
 //!
 //! Keying a fresh generator per evaluation — rather than streaming one
 //! generator across the plan — is what lets any single point/draw be
 //! regenerated in isolation: a resume, a cache-miss recompute, or a
-//! reproducer never needs to replay the draws that came before it. The
-//! core generator matches the reference SplitMix64 used elsewhere in
-//! the workspace (`darksil-power`'s variation sampler, the proptest
-//! shim).
+//! reproducer never needs to replay the draws that came before it.
 
-/// Golden-ratio increment shared by every SplitMix64 in the workspace;
-/// also used to fold the point index into the seed.
+use darksil_robust::SplitMix64;
+
+/// Golden-ratio constant folding the point index into the seed.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Second mixing constant folding the draw index into the seed, so
 /// `(point, draw)` and `(draw, point)` never collide.
 const DRAW_MIX: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
-/// Deterministic Gaussian sampler for one `(seed, point, draw)` cell.
-#[derive(Debug)]
-pub struct DrawRng {
-    state: u64,
-    cached: Option<f64>,
-}
-
-impl DrawRng {
-    /// The generator for Monte-Carlo cell `(point_index, draw_index)`
-    /// of a sweep seeded with `seed`.
-    #[must_use]
-    pub fn for_cell(seed: u64, point_index: usize, draw_index: usize) -> Self {
-        let state = seed
-            ^ (point_index as u64).wrapping_mul(GOLDEN)
-            ^ (draw_index as u64).wrapping_mul(DRAW_MIX);
-        Self {
-            state,
-            cached: None,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(GOLDEN);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in (0, 1].
-    fn next_unit(&mut self) -> f64 {
-        ((self.next_u64() >> 11) as f64 + 1.0) / (1_u64 << 53) as f64
-    }
-
-    /// Standard-normal draw (Box–Muller, pair-cached).
-    pub fn next_gaussian(&mut self) -> f64 {
-        if let Some(z) = self.cached.take() {
-            return z;
-        }
-        let u1 = self.next_unit();
-        let u2 = self.next_unit();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.cached = Some(r * theta.sin());
-        r * theta.cos()
-    }
+/// The generator for Monte-Carlo cell `(point_index, draw_index)` of a
+/// sweep seeded with `seed`.
+#[must_use]
+pub fn cell_rng(seed: u64, point_index: usize, draw_index: usize) -> SplitMix64 {
+    SplitMix64::new(
+        seed ^ (point_index as u64).wrapping_mul(GOLDEN)
+            ^ (draw_index as u64).wrapping_mul(DRAW_MIX),
+    )
 }
 
 #[cfg(test)]
@@ -71,35 +32,24 @@ mod tests {
 
     #[test]
     fn cells_are_independent_and_reproducible() {
-        let mut a = DrawRng::for_cell(7, 3, 2);
-        let mut b = DrawRng::for_cell(7, 3, 2);
+        let mut a = cell_rng(7, 3, 2);
+        let mut b = cell_rng(7, 3, 2);
         assert_eq!(a.next_u64(), b.next_u64());
 
         // Regenerating cell (3, 2) needs no other cell's history.
         let direct: Vec<u64> = {
-            let mut rng = DrawRng::for_cell(7, 3, 2);
+            let mut rng = cell_rng(7, 3, 2);
             (0..4).map(|_| rng.next_u64()).collect()
         };
-        let mut again = DrawRng::for_cell(7, 3, 2);
+        let mut again = cell_rng(7, 3, 2);
         let replay: Vec<u64> = (0..4).map(|_| again.next_u64()).collect();
         assert_eq!(direct, replay);
     }
 
     #[test]
     fn point_and_draw_indices_do_not_commute() {
-        let mut a = DrawRng::for_cell(0, 1, 2);
-        let mut b = DrawRng::for_cell(0, 2, 1);
+        let mut a = cell_rng(0, 1, 2);
+        let mut b = cell_rng(0, 2, 1);
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn gaussians_are_roughly_standard() {
-        let mut rng = DrawRng::for_cell(42, 0, 0);
-        let n = 10_000;
-        let draws: Vec<f64> = (0..n).map(|_| rng.next_gaussian()).collect();
-        let mean = draws.iter().sum::<f64>() / f64::from(n);
-        let var = draws.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / f64::from(n);
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.08, "var {var}");
     }
 }

@@ -92,8 +92,13 @@ impl TransientSim {
     /// threshold so time-above-threshold can be derived). Controllers
     /// set this to their DTM threshold; it has no effect on the
     /// simulation itself.
+    ///
+    /// Setting it starts a fresh crossing track, as for a new run: the
+    /// next step above the threshold reports `above` even when the
+    /// step before it was above too.
     pub fn set_watermark(&mut self, threshold: Celsius) {
         self.watermark = Some(threshold.value());
+        self.prev_peak = None;
     }
 
     /// The configured watermark threshold, if any.

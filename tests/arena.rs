@@ -1,7 +1,7 @@
-//! Fuzzing-arena integration tests: the shipped scenarios pass the
-//! invariant suite clean, generated scenarios round-trip strict
-//! validation, case verdicts are independent of the worker count, and
-//! the committed corpus replays.
+//! Fuzzing-arena integration tests: the shipped scenarios and every
+//! transient policy pass the invariant suite clean, generated scenarios
+//! round-trip strict validation, case verdicts are independent of the
+//! worker count, and the committed corpus replays.
 //!
 //! Every test that runs cases records on the process-global event
 //! recorder, so those tests serialise on [`recorder_lock`].
@@ -12,8 +12,16 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use darksil_arena::{
     generate_cases, load_corpus, replay, run_cases, run_single, shrink, ArenaCase, Oracle, Verdict,
 };
+use darksil_boost::{
+    run_boosting, run_constant, run_per_instance_boosting, run_phased_boosting, BoostError, Phase,
+    PolicyConfig,
+};
+use darksil_mapping::{place_patterned, Platform};
 use darksil_obs::EventStream;
+use darksil_power::TechnologyNode;
 use darksil_scenario::{parse_scenario_file, validate_scenario, Scenario};
+use darksil_units::{Celsius, Hertz, Seconds};
+use darksil_workload::{ParsecApp, Workload};
 use proptest::prelude::*;
 
 fn recorder_lock() -> MutexGuard<'static, ()> {
@@ -63,6 +71,84 @@ fn shipped_scenarios_pass_the_invariant_suite() {
             outcome.error,
             outcome.violations
         );
+    }
+}
+
+/// Every public transient policy opens one oracle segment per run with
+/// the watermark armed, and its event stream passes every invariant —
+/// including a phased run's second segment, which starts after t = 0.
+#[test]
+fn every_transient_policy_passes_the_invariant_suite() {
+    let _guard = recorder_lock();
+    // The small-chip setup of the boost unit tests: 12 of 16 cores
+    // active, regulated to 60 °C, which a 16-core die can reach.
+    let platform = Platform::with_core_count(TechnologyNode::Nm16, 16)
+        .unwrap()
+        .with_boost_levels(Hertz::from_ghz(4.4))
+        .unwrap();
+    let workload = Workload::uniform(ParsecApp::X264, 3, 4).unwrap();
+    let mapping = place_patterned(platform.floorplan(), &workload, platform.max_level()).unwrap();
+    let config = PolicyConfig {
+        threshold: Celsius::new(60.0),
+        period: Seconds::new(0.02),
+        ..PolicyConfig::default()
+    };
+    let horizon = Seconds::new(30.0);
+    // The first phase ends with the peak above the threshold, so the
+    // second phase's segment only verifies if its watermark track
+    // starts afresh.
+    let phases = [10.02, 20.0].map(|secs| Phase {
+        mapping: mapping.clone(),
+        duration: Seconds::new(secs),
+    });
+    type Run<'a> = Box<dyn Fn() -> Result<(), BoostError> + 'a>;
+    let policies: [(&str, usize, Run); 4] = [
+        (
+            "boosting",
+            1,
+            Box::new(|| run_boosting(&platform, &mapping, horizon, &config).map(drop)),
+        ),
+        (
+            "constant",
+            1,
+            Box::new(|| run_constant(&platform, &mapping, horizon, &config).map(drop)),
+        ),
+        (
+            "per_instance",
+            1,
+            Box::new(|| run_per_instance_boosting(&platform, &mapping, horizon, &config).map(drop)),
+        ),
+        (
+            "phased",
+            2,
+            Box::new(|| run_phased_boosting(&platform, &phases, &config).map(drop)),
+        ),
+    ];
+    for (name, segments, run) in policies {
+        darksil_obs::enable_events();
+        let outcome = run();
+        let (_trace, stream) = darksil_obs::drain_all();
+        outcome.unwrap_or_else(|e| panic!("{name}: {e}"));
+        let violations = Oracle::default().verify(&stream);
+        assert!(violations.is_empty(), "{name}: {violations:?}");
+        assert_eq!(stream.of_kind("boost.run").count(), segments, "{name}");
+        assert_eq!(stream.of_kind("boost.summary").count(), segments, "{name}");
+        let cores: Vec<_> = stream.of_kind("thermal.cores").collect();
+        assert!(
+            !cores.is_empty()
+                && cores
+                    .iter()
+                    .all(|e| e.f64_field("threshold_c") == Some(60.0)),
+            "{name}: per-core samples do not carry the armed watermark"
+        );
+        // The constant policy's steady state sits under the threshold by
+        // construction, so only the boosting loops cross it.
+        if name != "constant" {
+            assert!(
+                stream.of_kind("thermal.watermark").count() > 0,
+                "{name}: no watermark crossings"
+            );
+        }
     }
 }
 
