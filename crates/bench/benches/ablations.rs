@@ -1,7 +1,8 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
-//! CG vs dense LU, Jacobi preconditioning, backward Euler vs RK4,
-//! blind-spread vs thermally optimised patterning, and the
-//! leakage-temperature loop vs a single cold-leakage solve.
+//! backward Euler vs RK4, blind-spread vs thermally optimised
+//! patterning, and block vs grid-mode thermal subdivision. The
+//! factored-vs-CG solve comparison lives in
+//! `crates/numerics/benches/solve_spd.rs`.
 
 use std::time::Duration;
 
@@ -9,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use darksil_floorplan::Floorplan;
 use darksil_mapping::{optimize_pattern, spread_cores, Platform};
 use darksil_numerics::ode::LinearOde;
-use darksil_numerics::{conjugate_gradient, CgOptions, TripletMatrix};
+use darksil_numerics::TripletMatrix;
 use darksil_power::TechnologyNode;
 use darksil_thermal::{PackageConfig, ThermalModel};
 use darksil_units::{SquareMillimeters, Watts};
@@ -34,67 +35,6 @@ fn thermal_setup(cores: usize) -> (ThermalModel, Vec<Watts>) {
         })
         .collect();
     (model, power)
-}
-
-/// CG vs pre-factored dense LU for steady-state solves. LU pays a large
-/// factorisation cost but each subsequent solve is O(n²); CG re-solves
-/// from scratch. The crossover justifies using the prefactored solver
-/// for sweeps and CG for one-shots.
-fn bench_cg_vs_lu(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_cg_vs_lu");
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(3));
-    g.sample_size(20);
-
-    for cores in [100_usize, 198] {
-        let (model, power) = thermal_setup(cores);
-        g.bench_with_input(BenchmarkId::new("cg_solve", cores), &cores, |b, _| {
-            b.iter(|| black_box(model.steady_state(&power).unwrap()));
-        });
-        g.bench_with_input(BenchmarkId::new("lu_factor_once", cores), &cores, |b, _| {
-            b.iter(|| black_box(model.prefactored().unwrap()));
-        });
-        let solver = model.prefactored().unwrap();
-        g.bench_with_input(BenchmarkId::new("lu_resolve", cores), &cores, |b, _| {
-            b.iter(|| black_box(solver.solve(&power).unwrap()));
-        });
-    }
-    g.finish();
-}
-
-/// Jacobi preconditioning on vs off for the thermal conductance matrix.
-fn bench_preconditioner(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_jacobi");
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(3));
-
-    let (model, power) = thermal_setup(100);
-    let rhs: Vec<f64> = {
-        // Rebuild the rhs the way the model does: P + G_amb·T_amb.
-        let mut r: Vec<f64> = model
-            .ambient_conductances()
-            .iter()
-            .map(|gv| gv * model.ambient().value())
-            .collect();
-        for (ri, p) in r.iter_mut().zip(&power) {
-            *ri += p.value();
-        }
-        r
-    };
-    for jacobi in [true, false] {
-        let opts = CgOptions {
-            jacobi_preconditioner: jacobi,
-            ..CgOptions::default()
-        };
-        g.bench_with_input(
-            BenchmarkId::new("cg", if jacobi { "jacobi" } else { "plain" }),
-            &jacobi,
-            |b, _| {
-                b.iter(|| black_box(conjugate_gradient(model.conductance(), &rhs, &opts).unwrap()));
-            },
-        );
-    }
-    g.finish();
 }
 
 /// Backward Euler (one implicit solve) vs RK4 (four explicit
@@ -183,8 +123,6 @@ fn bench_subdivision(c: &mut Criterion) {
 
 criterion_group!(
     ablations,
-    bench_cg_vs_lu,
-    bench_preconditioner,
     bench_be_vs_rk4,
     bench_patterning,
     bench_subdivision

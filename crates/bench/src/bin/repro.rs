@@ -852,9 +852,10 @@ fn journal_note(result: Result<(), DarksilError>) {
     }
 }
 
-/// Writes the artefact JSON (when `--json` is active) and buffers the
-/// `[wrote …]` line. Called *before* the journal marks the artefact
-/// done, so a crash between the two re-runs the artefact.
+/// Writes the artefact JSON (when `--json` is active) atomically, so a
+/// kill mid-write can never leave a truncated artefact behind, and
+/// buffers the `[wrote …]` line. Called *before* the journal marks the
+/// artefact done, so a crash between the two re-runs the artefact.
 fn persist_payload(
     options: &Options,
     name: &str,
@@ -865,13 +866,11 @@ fn persist_payload(
     let Some(dir) = &options.json_dir else {
         return Ok(());
     };
-    match write_artefact_json(dir, name, payload) {
-        Ok(path) => {
-            let _ = writeln!(text, "[wrote {}]", path.display());
-            Ok(())
-        }
-        Err(e) => Err(DarksilError::io(format!("cannot write artefact JSON: {e}")).context(name)),
-    }
+    let path = dir.join(format!("{name}.json"));
+    let bytes = darksil_json::to_string_pretty(payload);
+    darksil_robust::write_atomic(&path, bytes.as_bytes()).map_err(|e| e.context(name))?;
+    let _ = writeln!(text, "[wrote {}]", path.display());
+    Ok(())
 }
 
 /// Maps any artefact error onto the workspace taxonomy, preserving the
@@ -932,18 +931,6 @@ fn injected_failure() -> Result<(), Box<dyn std::error::Error>> {
     power[0] = darksil_units::Watts::new(f64::NAN);
     platform.thermal().steady_state(&power)?;
     Ok(())
-}
-
-/// Writes one artefact's machine-readable series under `--json DIR`,
-/// atomically (temp file + rename) so a kill mid-write can never leave
-/// a truncated artefact behind. Returns the final path.
-fn write_artefact_json(dir: &Path, name: &str, payload: &Json) -> Result<PathBuf, std::io::Error> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let tmp = dir.join(format!("{name}.json.tmp"));
-    fs::write(&tmp, darksil_json::to_string_pretty(payload))?;
-    fs::rename(&tmp, &path)?;
-    Ok(path)
 }
 
 /// Writes the machine-readable per-artefact report. With `--json DIR`

@@ -420,7 +420,7 @@ impl Journal {
         self.write_snapshot(&entries)
     }
 
-    /// Atomic write: temp file in the same directory, then rename.
+    /// Atomic write through [`darksil_robust::write_atomic`].
     fn write_snapshot(&self, entries: &[JournalEntry]) -> Result<(), DarksilError> {
         let doc = Json::Obj(vec![
             ("schema".to_string(), Json::Str(JOURNAL_SCHEMA.to_string())),
@@ -430,19 +430,7 @@ impl Journal {
                 Json::Arr(entries.iter().map(ToJson::to_json).collect()),
             ),
         ]);
-        if let Some(parent) = self.path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent).map_err(|e| {
-                    DarksilError::io(format!("cannot create {}: {e}", parent.display()))
-                })?;
-            }
-        }
-        let tmp = self.path.with_extension("json.tmp");
-        fs::write(&tmp, doc.pretty())
-            .map_err(|e| DarksilError::io(format!("cannot write {}: {e}", tmp.display())))?;
-        fs::rename(&tmp, &self.path)
-            .map_err(|e| DarksilError::io(format!("cannot commit {}: {e}", self.path.display())))?;
-        Ok(())
+        darksil_robust::write_atomic(&self.path, doc.pretty().as_bytes())
     }
 }
 

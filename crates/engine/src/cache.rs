@@ -184,8 +184,8 @@ impl ResultCache {
         }
     }
 
-    /// Writes `payload` for `key` to memory and disk (atomically, via a
-    /// temp file + rename).
+    /// Writes `payload` for `key` to memory and disk (atomically, via
+    /// [`darksil_robust::write_atomic`]).
     ///
     /// # Errors
     ///
@@ -210,14 +210,7 @@ impl ResultCache {
             ),
             ("payload".to_string(), payload.clone()),
         ]);
-        fs::create_dir_all(&self.dir)
-            .map_err(|e| DarksilError::io(format!("cannot create {}: {e}", self.dir.display())))?;
-        let path = self.dir.join(&name);
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        fs::write(&tmp, envelope.pretty())
-            .map_err(|e| DarksilError::io(format!("cannot write {}: {e}", tmp.display())))?;
-        fs::rename(&tmp, &path)
-            .map_err(|e| DarksilError::io(format!("cannot commit {}: {e}", path.display())))?;
+        darksil_robust::write_atomic(&self.dir.join(&name), envelope.pretty().as_bytes())?;
         if let Ok(mut memory) = self.memory.lock() {
             memory.insert(name, payload.clone());
         }

@@ -1,12 +1,13 @@
-//! Criterion microbenchmarks of the robust SPD solver on RC-grid
-//! systems like the thermal model's: a W×H grid Laplacian with a
-//! leak to the reference node, solved for a checkerboard load.
+//! Criterion microbenchmarks of the SPD solve on RC-grid systems like
+//! the thermal model's: a W×H grid Laplacian with a leak to the
+//! reference node, solved for a checkerboard load through the iterative
+//! chain (`solve_spd_factored` without factors) and through factors.
 
 use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use darksil_numerics::{factor_spd, solve_spd_robust, CgOptions, CsrMatrix, TripletMatrix};
+use darksil_numerics::{factor_spd, solve_spd_factored, CgOptions, CsrMatrix, TripletMatrix};
 
 /// A W×H grid Laplacian: lateral conductances between 4-neighbours
 /// plus a vertical leak to the reference node, matching the structure
@@ -48,7 +49,7 @@ fn bench_solve_spd(c: &mut Criterion) {
         let options = CgOptions::default();
         g.bench_with_input(BenchmarkId::new("grid", label), &a, |bench, a| {
             bench.iter(|| {
-                let (x, diag) = solve_spd_robust(black_box(a), black_box(&b), &options)
+                let (x, diag) = solve_spd_factored(None, black_box(a), black_box(&b), &options)
                     .expect("SPD grid system must solve");
                 black_box((x, diag))
             });
@@ -88,7 +89,7 @@ fn bench_factor_vs_cg(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("cg_per_rhs", label), &a, |bench, a| {
             bench.iter(|| {
                 for b in &loads {
-                    let (x, _) = solve_spd_robust(black_box(a), black_box(b), &options)
+                    let (x, _) = solve_spd_factored(None, black_box(a), black_box(b), &options)
                         .expect("SPD grid system must solve");
                     black_box(x);
                 }

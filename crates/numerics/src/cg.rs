@@ -1,8 +1,11 @@
-//! Preconditioned conjugate-gradient solver for SPD systems.
+//! Jacobi-preconditioned conjugate gradient for SPD systems — the first
+//! stage of the fallback chain behind [`crate::solve_spd_factored`].
 
 use crate::{axpy, dot, norm2, CsrMatrix, NumericsError};
 
-/// Options controlling a conjugate-gradient solve.
+/// Options of a [`crate::solve_spd_factored`] solve: the residual
+/// tolerance the factored result and CG are held to, and CG's
+/// iteration cap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CgOptions {
     /// Relative residual tolerance: converged when
@@ -10,10 +13,6 @@ pub struct CgOptions {
     pub tolerance: f64,
     /// Hard iteration cap (defaults to `10 · n` at solve time when zero).
     pub max_iterations: usize,
-    /// Enable Jacobi (diagonal) preconditioning. Thermal conductance
-    /// matrices have widely varying diagonals (die vs heat-sink nodes),
-    /// where this helps substantially.
-    pub jacobi_preconditioner: bool,
 }
 
 impl Default for CgOptions {
@@ -21,90 +20,36 @@ impl Default for CgOptions {
         Self {
             tolerance: 1.0e-10,
             max_iterations: 0,
-            jacobi_preconditioner: true,
         }
     }
 }
 
-/// Diagnostic information from a successful CG solve.
+/// Diagnostic information from a CG run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CgOutcome {
+pub(crate) struct CgOutcome {
     /// Iterations consumed.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Final absolute residual norm.
-    pub residual: f64,
+    pub(crate) residual: f64,
 }
 
-/// Solves `A·x = b` for a symmetric positive-definite `A`.
+/// Best-effort CG: runs the iteration from `x0` (or zero) and returns
+/// the final iterate even when the tolerance was not met (third tuple
+/// element is `false` then).
 ///
-/// Returns the solution vector. Use [`conjugate_gradient_with_outcome`]
-/// to also retrieve iteration diagnostics.
+/// The Jacobi (diagonal) preconditioner is always on: thermal
+/// conductance matrices have widely varying diagonals (die vs heat-sink
+/// nodes), where it helps substantially. The robust solver chain hands a
+/// stalled iterate to the next fallback stage as a warm start instead of
+/// discarding the work.
 ///
 /// # Errors
 ///
 /// Returns [`NumericsError::DimensionMismatch`] for incompatible shapes
-/// and [`NumericsError::ConvergenceFailure`] if the tolerance is not met
-/// within the iteration cap.
-pub fn conjugate_gradient(
-    a: &CsrMatrix,
-    b: &[f64],
-    options: &CgOptions,
-) -> Result<Vec<f64>, NumericsError> {
-    conjugate_gradient_with_outcome(a, b, options).map(|(x, _)| x)
-}
-
-/// Like [`conjugate_gradient`] but also returns a [`CgOutcome`].
-///
-/// # Errors
-///
-/// Same as [`conjugate_gradient`].
-pub fn conjugate_gradient_with_outcome(
-    a: &CsrMatrix,
-    b: &[f64],
-    options: &CgOptions,
-) -> Result<(Vec<f64>, CgOutcome), NumericsError> {
-    conjugate_gradient_from(a, b, None, options)
-}
-
-/// Like [`conjugate_gradient_with_outcome`] but warm-started from `x0`
-/// when one is given. Used by the robust fallback chain to resume a
-/// stalled solve from its best iterate instead of restarting at zero.
-///
-/// On failure the error carries the convergence diagnostics; the caller
-/// can retry with relaxed options or fall back to a dense factorisation.
-///
-/// # Errors
-///
-/// Same as [`conjugate_gradient`], plus [`NumericsError::DimensionMismatch`]
-/// if `x0` has the wrong length.
-pub fn conjugate_gradient_from(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    options: &CgOptions,
-) -> Result<(Vec<f64>, CgOutcome), NumericsError> {
-    let (x, outcome, converged) = conjugate_gradient_best_effort(a, b, x0, options)?;
-    if converged {
-        Ok((x, outcome))
-    } else {
-        Err(NumericsError::ConvergenceFailure {
-            iterations: outcome.iterations,
-            residual: outcome.residual,
-        })
-    }
-}
-
-/// Best-effort CG: runs the iteration and returns the final iterate even
-/// when the tolerance was not met (third tuple element is `false` then).
-///
-/// The robust solver chain uses this to hand a stalled iterate to the
-/// next fallback stage as a warm start instead of discarding the work.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::DimensionMismatch`] for incompatible shapes;
-/// convergence failure is reported through the flag, not an error.
-pub fn conjugate_gradient_best_effort(
+/// and [`NumericsError::Cancelled`] when the current run context's
+/// deadline trips; convergence failure is reported through the flag,
+/// not an error.
+pub(crate) fn conjugate_gradient_best_effort(
     a: &CsrMatrix,
     b: &[f64],
     x0: Option<&[f64]>,
@@ -142,22 +87,14 @@ pub fn conjugate_gradient_best_effort(
     let target = options.tolerance * b_norm;
 
     // Jacobi preconditioner M⁻¹ = diag(A)⁻¹.
-    let inv_diag: Option<Vec<f64>> = if options.jacobi_preconditioner {
-        Some(
-            a.diagonal()
-                .iter()
-                .map(|&d| if d.abs() > 0.0 { 1.0 / d } else { 1.0 })
-                .collect(),
-        )
-    } else {
-        None
-    };
+    let inv_diag: Vec<f64> = a
+        .diagonal()
+        .iter()
+        .map(|&d| if d.abs() > 0.0 { 1.0 / d } else { 1.0 })
+        .collect();
     let apply_precond = |r: &[f64], z: &mut Vec<f64>| {
         z.clear();
-        match &inv_diag {
-            Some(m) => z.extend(r.iter().zip(m).map(|(ri, mi)| ri * mi)),
-            None => z.extend_from_slice(r),
-        }
+        z.extend(r.iter().zip(&inv_diag).map(|(ri, mi)| ri * mi));
     };
 
     let (mut x, mut r) = match x0 {
@@ -265,6 +202,10 @@ mod tests {
         t.to_csr()
     }
 
+    fn cg(a: &CsrMatrix, b: &[f64], options: &CgOptions) -> (Vec<f64>, CgOutcome, bool) {
+        conjugate_gradient_best_effort(a, b, None, options).expect("shapes match")
+    }
+
     #[test]
     fn solves_small_spd_system() {
         let mut t = TripletMatrix::new(2, 2);
@@ -273,8 +214,8 @@ mod tests {
         t.add(1, 0, 1.0);
         t.add(1, 1, 3.0);
         let a = t.to_csr();
-        let x =
-            conjugate_gradient(&a, &[1.0, 2.0], &CgOptions::default()).expect("numerics succeed");
+        let (x, _, converged) = cg(&a, &[1.0, 2.0], &CgOptions::default());
+        assert!(converged);
         let r = a.mul_vec(&x);
         assert!((r[0] - 1.0).abs() < 1e-8);
         assert!((r[1] - 2.0).abs() < 1e-8);
@@ -285,7 +226,8 @@ mod tests {
         let n = 40;
         let a = laplacian(n);
         let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 5) as f64 + 0.5).collect();
-        let x_cg = conjugate_gradient(&a, &b, &CgOptions::default()).expect("numerics succeed");
+        let (x_cg, _, converged) = cg(&a, &b, &CgOptions::default());
+        assert!(converged);
         let x_lu = a.to_dense().solve(&b).expect("solve succeeds");
         for (c, l) in x_cg.iter().zip(&x_lu) {
             assert!((c - l).abs() < 1e-6, "cg {c} vs lu {l}");
@@ -295,74 +237,26 @@ mod tests {
     #[test]
     fn zero_rhs_short_circuits() {
         let a = laplacian(5);
-        let (x, outcome) = conjugate_gradient_with_outcome(&a, &[0.0; 5], &CgOptions::default())
-            .expect("numerics succeed");
+        let (x, outcome, converged) = cg(&a, &[0.0; 5], &CgOptions::default());
+        assert!(converged);
         assert_eq!(x, vec![0.0; 5]);
         assert_eq!(outcome.iterations, 0);
-    }
-
-    #[test]
-    fn preconditioner_reduces_iterations_on_ill_scaled_system() {
-        // Diagonal entries differing by orders of magnitude, like die vs
-        // heat-sink nodes.
-        let n = 50;
-        let mut t = TripletMatrix::new(n, n);
-        for i in 0..n - 1 {
-            t.stamp_conductance(i, i + 1, 1.0);
-        }
-        for i in 0..n {
-            let scale = if i % 2 == 0 { 1.0e3 } else { 1.0e-2 };
-            t.stamp_to_reference(i, scale);
-        }
-        let a = t.to_csr();
-        let b = vec![1.0; n];
-
-        let with = conjugate_gradient_with_outcome(
-            &a,
-            &b,
-            &CgOptions {
-                jacobi_preconditioner: true,
-                ..CgOptions::default()
-            },
-        )
-        .expect("test value")
-        .1;
-        let without = conjugate_gradient_with_outcome(
-            &a,
-            &b,
-            &CgOptions {
-                jacobi_preconditioner: false,
-                ..CgOptions::default()
-            },
-        )
-        .expect("test value")
-        .1;
-        assert!(
-            with.iterations <= without.iterations,
-            "jacobi {} vs plain {}",
-            with.iterations,
-            without.iterations
-        );
     }
 
     #[test]
     fn iteration_cap_is_honoured() {
         let a = laplacian(100);
         let b = vec![1.0; 100];
-        let err = conjugate_gradient(
+        let (_, outcome, converged) = cg(
             &a,
             &b,
             &CgOptions {
                 tolerance: 1.0e-14,
                 max_iterations: 2,
-                jacobi_preconditioner: false,
             },
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            NumericsError::ConvergenceFailure { iterations: 2, .. }
-        ));
+        );
+        assert!(!converged);
+        assert_eq!(outcome.iterations, 2);
     }
 
     #[test]
@@ -372,19 +266,23 @@ mod tests {
         let ctx = darksil_robust::RunContext::with_token(
             darksil_robust::CancellationToken::with_deadline(std::time::Duration::from_millis(0)),
         );
-        let err =
-            darksil_robust::scoped(&ctx, || conjugate_gradient(&a, &b, &CgOptions::default()))
-                .expect_err("expired deadline stops the solve");
+        let err = darksil_robust::scoped(&ctx, || {
+            conjugate_gradient_best_effort(&a, &b, None, &CgOptions::default())
+        })
+        .expect_err("expired deadline stops the solve");
         assert!(matches!(err, NumericsError::Cancelled { .. }), "{err:?}");
         // Outside the scope the same solve completes normally.
-        conjugate_gradient(&a, &b, &CgOptions::default()).expect("unsupervised solve converges");
+        assert!(
+            cg(&a, &b, &CgOptions::default()).2,
+            "unsupervised solve converges"
+        );
     }
 
     #[test]
     fn dimension_mismatch_rejected() {
         let a = laplacian(4);
         assert!(matches!(
-            conjugate_gradient(&a, &[1.0; 3], &CgOptions::default()),
+            conjugate_gradient_best_effort(&a, &[1.0; 3], None, &CgOptions::default()),
             Err(NumericsError::DimensionMismatch { .. })
         ));
     }

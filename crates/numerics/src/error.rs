@@ -13,13 +13,6 @@ pub enum NumericsError {
         /// Column index of the vanishing pivot.
         pivot: usize,
     },
-    /// An iterative solver failed to reach the requested tolerance.
-    ConvergenceFailure {
-        /// Iterations performed before giving up.
-        iterations: usize,
-        /// Residual norm at the last iteration.
-        residual: f64,
-    },
     /// Operand dimensions were incompatible.
     DimensionMismatch {
         /// Human-readable description of the mismatch.
@@ -45,13 +38,6 @@ impl fmt::Display for NumericsError {
             Self::SingularMatrix { pivot } => {
                 write!(f, "matrix is singular at pivot column {pivot}")
             }
-            Self::ConvergenceFailure {
-                iterations,
-                residual,
-            } => write!(
-                f,
-                "iterative solver did not converge after {iterations} iterations (residual {residual:.3e})"
-            ),
             Self::DimensionMismatch { context } => {
                 write!(f, "dimension mismatch: {context}")
             }
@@ -70,9 +56,7 @@ impl Error for NumericsError {}
 impl From<NumericsError> for darksil_robust::DarksilError {
     fn from(e: NumericsError) -> Self {
         match &e {
-            NumericsError::SingularMatrix { .. } | NumericsError::ConvergenceFailure { .. } => {
-                Self::solver(e.to_string())
-            }
+            NumericsError::SingularMatrix { .. } => Self::solver(e.to_string()),
             NumericsError::DimensionMismatch { .. } => Self::dimension(e.to_string()),
             NumericsError::NonFinite { .. } => Self::non_finite(e.to_string()),
             NumericsError::Cancelled { .. } => Self::deadline(e.to_string()),
@@ -98,11 +82,6 @@ mod tests {
             context: "rhs has 4 rows, matrix has 5".into(),
         };
         assert!(e.to_string().contains("rhs has 4 rows"));
-        let e = NumericsError::ConvergenceFailure {
-            iterations: 100,
-            residual: 1.0e-3,
-        };
-        assert!(e.to_string().contains("100 iterations"));
         let e = NumericsError::Cancelled {
             context: "cg iteration: wall-clock deadline exceeded".into(),
         };

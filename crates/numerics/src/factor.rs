@@ -14,10 +14,10 @@
 //!   the same discipline as the engine's content-addressed result cache
 //!   — bounded and thread-safe, so concurrent engine jobs solving on the
 //!   same floorplan factor it exactly once per process.
-//! * [`solve_spd_cached`] is the drop-in robust entry point: factored
-//!   fast path with a residual check, falling back into the
-//!   CG → restarted-CG → dense-LU chain (optionally warm-started) when
-//!   the matrix cannot be factored or the factored solution drifts.
+//! * [`solve_spd_factored`] is the one solve that can fall back:
+//!   factored substitution with a residual check, falling back into the
+//!   CG → restarted-CG → dense-LU chain when the matrix cannot be
+//!   factored or the factored solution drifts.
 //!
 //! Factorisation is deterministic, so results are byte-identical whether
 //! a factor is computed fresh or served from the cache, at any worker
@@ -127,23 +127,14 @@ pub struct SpdFactors {
     n: usize,
     /// `perm[new] = old`.
     perm: Vec<usize>,
-    /// Elimination tree over permuted indices (`NONE` = root).
-    parent: Vec<usize>,
-    /// Permuted upper triangle of `A` in compressed-column form (the
-    /// numeric phase's input).
-    b_colptr: Vec<usize>,
-    b_rowidx: Vec<usize>,
-    b_values: Vec<f64>,
     /// `L` (unit diagonal, strictly-lower part) in compressed-column form.
     l_colptr: Vec<usize>,
     /// Row indices are stored narrow (`u32`) to halve the memory the
     /// substitution loops stream per solve.
     l_rowidx: Vec<u32>,
     l_values: Vec<f64>,
-    /// The diagonal matrix `D`.
-    d: Vec<f64>,
-    /// Reciprocals of `d`, precomputed so the solve hot loop multiplies
-    /// instead of divides.
+    /// Reciprocals of the diagonal matrix `D`, precomputed so the solve
+    /// hot loop multiplies instead of divides.
     d_inv: Vec<f64>,
     /// First column of the dense trailing block. Minimum-degree pushes
     /// fill towards the end of the order; once the tail is at least half
@@ -175,22 +166,6 @@ impl SpdFactors {
     #[must_use]
     pub fn nnz_l(&self) -> usize {
         self.l_values.len()
-    }
-
-    /// First column (permuted order) of the packed dense trailing
-    /// block, or `dimension()` when no tail qualified. Diagnostic.
-    #[must_use]
-    pub fn dense_block_start(&self) -> usize {
-        self.dense_start
-    }
-
-    /// Stored entries of `L` per column (permuted order) — the fill
-    /// profile, useful for ordering diagnostics.
-    #[must_use]
-    pub fn column_fill_profile(&self) -> Vec<usize> {
-        (0..self.n)
-            .map(|j| self.l_colptr[j + 1] - self.l_colptr[j])
-            .collect()
     }
 
     /// Solves `A·x = b` by permuted forward/diagonal/backward
@@ -316,33 +291,39 @@ impl SpdFactors {
         }
     }
 
-    /// The numeric phase of up-looking sparse LDLᵀ over the stored
-    /// permuted upper triangle, following the classic `LDL` elimination
+    /// The numeric phase of up-looking sparse LDLᵀ over the permuted
+    /// upper triangle of `A` (compressed-column `b_*`) and its
+    /// elimination tree, following the classic `LDL` elimination
     /// (Davis): for each row `k`, scatter the upper column into a dense
     /// work vector, walk the elimination tree for the row pattern, and
     /// eliminate in topological order.
-    fn numeric(&mut self) -> Result<(), NumericsError> {
+    fn numeric(
+        &mut self,
+        b_colptr: &[usize],
+        b_rowidx: &[usize],
+        b_values: &[f64],
+        parent: &[usize],
+    ) -> Result<(), NumericsError> {
         let n = self.n;
         let mut y = vec![0.0; n];
         let mut pattern = vec![0_usize; n];
         let mut flag = vec![NONE; n];
         let mut lnz = vec![0_usize; n];
-        self.l_values.clear();
-        self.l_values.resize(self.l_rowidx.len(), 0.0);
+        let mut d = vec![0.0; n];
 
         for k in 0..n {
             let mut top = n;
             flag[k] = k;
-            for p in self.b_colptr[k]..self.b_colptr[k + 1] {
-                let mut i = self.b_rowidx[p];
-                y[i] += self.b_values[p];
+            for p in b_colptr[k]..b_colptr[k + 1] {
+                let mut i = b_rowidx[p];
+                y[i] += b_values[p];
                 // Row pattern: path from i up the elimination tree.
                 let mut len = 0;
                 while flag[i] != k {
                     pattern[len] = i;
                     len += 1;
                     flag[i] = k;
-                    i = self.parent[i];
+                    i = parent[i];
                 }
                 while len > 0 {
                     len -= 1;
@@ -359,7 +340,7 @@ impl SpdFactors {
                 for p in self.l_colptr[i]..p2 {
                     y[self.l_rowidx[p] as usize] -= self.l_values[p] * yi;
                 }
-                let l_ki = yi / self.d[i];
+                let l_ki = yi / d[i];
                 dk -= l_ki * yi;
                 #[allow(clippy::cast_possible_truncation)] // n ≤ u32::MAX checked at entry
                 {
@@ -373,7 +354,7 @@ impl SpdFactors {
                     pivot: self.perm[k],
                 });
             }
-            self.d[k] = dk;
+            d[k] = dk;
             self.d_inv[k] = 1.0 / dk;
         }
         self.pack_dense();
@@ -488,19 +469,14 @@ pub fn factor_spd(a: &CsrMatrix) -> Result<SpdFactors, NumericsError> {
     let mut factors = SpdFactors {
         n,
         perm,
-        parent,
-        b_colptr,
-        b_rowidx,
-        b_values,
         l_colptr,
         l_rowidx: vec![0; nnz_l],
         l_values: vec![0.0; nnz_l],
-        d: vec![0.0; n],
         d_inv: vec![0.0; n],
         dense_start: n,
         dense_cols: Vec::new(),
     };
-    factors.numeric()?;
+    factors.numeric(&b_colptr, &b_rowidx, &b_values, &parent)?;
     Ok(factors)
 }
 
@@ -512,8 +488,7 @@ pub fn factor_spd(a: &CsrMatrix) -> Result<SpdFactors, NumericsError> {
 /// value bits. Two matrices share a digest exactly when they are
 /// entry-for-entry identical — the cache key discipline of the engine's
 /// content-addressed result cache.
-#[must_use]
-pub fn matrix_digest(a: &CsrMatrix) -> u64 {
+fn matrix_digest(a: &CsrMatrix) -> u64 {
     let mut h = FNV1A_EMPTY;
     let mut mix = |word: u64| h = fnv1a_extend(h, &word.to_le_bytes());
     mix(a.rows() as u64);
@@ -548,8 +523,8 @@ struct CacheInner {
     failed: Vec<u64>,
 }
 
-/// A bounded, thread-safe cache of [`SpdFactors`] keyed by matrix
-/// content digest ([`matrix_digest`]).
+/// A bounded, thread-safe cache of [`SpdFactors`] keyed by a matrix
+/// content digest (dimensions, sparsity pattern and value bits).
 ///
 /// Factorisation happens under the cache lock, so concurrent solvers on
 /// the same matrix factor it exactly once and hit/miss counts are
@@ -588,7 +563,7 @@ impl FactorCache {
         }
     }
 
-    /// The process-global cache used by [`solve_spd_cached`] and the
+    /// The process-global cache used by the thermal model and the
     /// backward-Euler stepper.
     pub fn global() -> &'static Self {
         static GLOBAL: OnceLock<FactorCache> = OnceLock::new();
@@ -666,70 +641,33 @@ pub fn factor_cache_stats() -> FactorCacheStats {
 }
 
 // ---------------------------------------------------------------------------
-// Cached robust solve
+// The solve
 // ---------------------------------------------------------------------------
 
-/// Solves `A·x = b` through the factor-cached fast path with a residual
-/// check, falling back to the CG → restarted-CG → dense-LU chain when
-/// the matrix is not factorable or the factored solution drifts.
+/// Solves `A·x = b` with caller-resolved factors — the one solve entry
+/// point that can fall back. Callers hold their own [`SpdFactors`]
+/// (e.g. a thermal model solving hundreds of loads on one matrix,
+/// resolved once through [`FactorCache`]), so a solve pays no digest or
+/// cache lookup.
 ///
-/// Equivalent to [`solve_spd_cached_from`] without a warm-start seed.
-///
-/// # Errors
-///
-/// Same as [`crate::solve_spd_robust`] — the factored path itself never
-/// errors for well-posed inputs; it declines and the chain takes over.
-pub fn solve_spd_cached(
-    a: &CsrMatrix,
-    b: &[f64],
-    options: &CgOptions,
-) -> Result<(Vec<f64>, SolveDiagnostics), NumericsError> {
-    solve_spd_cached_from(a, b, None, options)
-}
-
-/// [`solve_spd_cached`] with an optional warm-start seed for the
-/// fallback chain (e.g. the previous sweep point's or fixed-point
-/// iteration's solution). The seed is ignored by the factored path —
-/// a direct solve needs no starting point — and guarded on the CG path:
-/// a seed is only used when its residual improves on a cold start, so a
-/// warm-started solve never returns a worse residual than a cold one.
+/// Factored solutions are residual-checked against
+/// `options.tolerance`; on drift the CG → restarted-CG → dense-LU chain
+/// takes over, seeded from the factored iterate. `factors` of `None`
+/// (matrix unfactorable or not resolved) goes straight to the chain.
 ///
 /// # Errors
 ///
-/// Same as [`crate::solve_spd_robust`].
-pub fn solve_spd_cached_from(
-    a: &CsrMatrix,
-    b: &[f64],
-    seed: Option<&[f64]>,
-    options: &CgOptions,
-) -> Result<(Vec<f64>, SolveDiagnostics), NumericsError> {
-    let factors = if b.len() == a.rows() {
-        FactorCache::global().get_or_factor(a)
-    } else {
-        None
-    };
-    solve_spd_factored(factors.as_deref(), a, b, seed, options)
-}
-
-/// The factor-cached solve with caller-resolved factors — the hot-loop
-/// form of [`solve_spd_cached_from`] for callers that hold their own
-/// [`SpdFactors`] (e.g. a thermal model solving hundreds of loads on
-/// one matrix), skipping the per-solve digest and cache lookup.
-///
-/// `factors` of `None` (matrix unfactorable or not resolved) goes
-/// straight to the CG → restarted-CG → dense-LU chain, warm-started
-/// from `seed` when one is supplied. Factored solutions are residual-
-/// checked against `options.tolerance`; on drift the chain takes over,
-/// seeded from the factored iterate.
-///
-/// # Errors
-///
-/// Same as [`crate::solve_spd_robust`].
+/// The factored path itself never errors for well-posed inputs; it
+/// declines and the chain takes over. The chain returns
+/// [`NumericsError::NonFinite`] for NaN/Inf in `a` or `b`,
+/// [`NumericsError::DimensionMismatch`] for incompatible shapes,
+/// [`NumericsError::Cancelled`] when a supervised deadline trips inside
+/// CG, and [`NumericsError::SingularMatrix`] only when every stage,
+/// including dense LU, failed.
 pub fn solve_spd_factored(
     factors: Option<&SpdFactors>,
     a: &CsrMatrix,
     b: &[f64],
-    seed: Option<&[f64]>,
     options: &CgOptions,
 ) -> Result<(Vec<f64>, SolveDiagnostics), NumericsError> {
     let _span = darksil_obs::span("numerics.solve_spd");
@@ -739,7 +677,7 @@ pub fn solve_spd_factored(
     let mut drift_iterate: Option<Vec<f64>> = None;
     if let Some(factors) = factors.filter(|f| f.dimension() == b.len()) {
         let x = factors.solve(b)?;
-        let residual = residual_norm(a, &x, b);
+        let residual = a.residual_norm(&x, b);
         let target = options.tolerance * norm2(b);
         if x.iter().all(|v| v.is_finite()) && residual <= target.max(f64::MIN_POSITIVE) {
             let diagnostics = SolveDiagnostics {
@@ -758,23 +696,17 @@ pub fn solve_spd_factored(
             drift_iterate = Some(x);
         }
     }
-    let chain_seed: Option<&[f64]> = drift_iterate.as_deref().or(seed);
-    let result = solve_chain_from(a, b, chain_seed, options);
+    let result = solve_chain_from(a, b, drift_iterate.as_deref(), options);
     if let Ok((_, diagnostics)) = &result {
         crate::robust::record_diagnostics(diagnostics);
     }
     result
 }
 
-/// `‖b − A·x‖₂`, computed without allocating an intermediate `A·x`.
-fn residual_norm(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
-    a.residual_norm(x, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_spd_robust, TripletMatrix};
+    use crate::TripletMatrix;
 
     /// A W×H RC-grid Laplacian with a leak to the reference node — the
     /// shape of every thermal conductance matrix in this workspace.
@@ -806,11 +738,11 @@ mod tests {
         let b = rhs(64);
         let f = factor_spd(&a).expect("grid is SPD");
         let x = f.solve(&b).expect("solve succeeds");
-        let (x_cg, _) = solve_spd_robust(&a, &b, &CgOptions::default()).expect("cg solves");
+        let (x_cg, _) = solve_spd_factored(None, &a, &b, &CgOptions::default()).expect("cg solves");
         for (a_, b_) in x.iter().zip(&x_cg) {
             assert!((a_ - b_).abs() < 1e-7, "{a_} vs {b_}");
         }
-        assert!(residual_norm(&a, &x, &b) < 1e-10 * norm2(&b).max(1.0));
+        assert!(a.residual_norm(&x, &b) < 1e-10 * norm2(&b).max(1.0));
     }
 
     #[test]
@@ -932,10 +864,12 @@ mod tests {
     fn cached_solve_agrees_with_robust_and_reports_factored_stage() {
         let a = grid_laplacian(9, 9);
         let b = rhs(81);
-        let (x, diag) = solve_spd_cached(&a, &b, &CgOptions::default()).expect("solves");
+        let factors = FactorCache::new(1).get_or_factor(&a);
+        let (x, diag) =
+            solve_spd_factored(factors.as_deref(), &a, &b, &CgOptions::default()).expect("solves");
         assert_eq!(diag.stage, SolveStage::Factored);
         assert_eq!(diag.cg_iterations, 0);
-        let (x_cg, _) = solve_spd_robust(&a, &b, &CgOptions::default()).expect("cg solves");
+        let (x_cg, _) = solve_spd_factored(None, &a, &b, &CgOptions::default()).expect("cg solves");
         for (a_, b_) in x.iter().zip(&x_cg) {
             assert!((a_ - b_).abs() < 1e-7);
         }
@@ -948,7 +882,11 @@ mod tests {
         t.add(0, 0, -1.0);
         t.add(1, 1, -1.0);
         let a = t.to_csr();
-        let (x, diag) = solve_spd_cached(&a, &[3.0, 3.0], &CgOptions::default()).expect("lu");
+        let factors = FactorCache::new(1).get_or_factor(&a);
+        assert!(factors.is_none());
+        let (x, diag) =
+            solve_spd_factored(factors.as_deref(), &a, &[3.0, 3.0], &CgOptions::default())
+                .expect("lu");
         assert_eq!(diag.stage, SolveStage::DenseLu);
         assert!((x[0] + 3.0).abs() < 1e-9);
     }
@@ -956,10 +894,11 @@ mod tests {
     #[test]
     fn cached_solve_rejects_nan_rhs() {
         let a = grid_laplacian(3, 3);
+        let factors = factor_spd(&a).expect("grid is SPD");
         let mut b = vec![1.0; 9];
         b[4] = f64::NAN;
         assert!(matches!(
-            solve_spd_cached(&a, &b, &CgOptions::default()),
+            solve_spd_factored(Some(&factors), &a, &b, &CgOptions::default()),
             Err(NumericsError::NonFinite { .. })
         ));
     }

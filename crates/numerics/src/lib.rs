@@ -5,9 +5,9 @@
 //! integrate stiff linear ODEs (transient turbo-boost simulations), and
 //! the power crate fits Eq. (1) of the paper to sampled data. Rather than
 //! pull in a linear-algebra dependency, this crate provides exactly the
-//! kernels needed, organised around **two solve paths**:
+//! kernels needed, organised around **one solve path**.
 //!
-//! # The factor-cached fast path
+//! # Factor once, solve many
 //!
 //! The RC conductance topology is fixed per floorplan — across a sweep,
 //! a leakage fixed point, or a placement-optimisation loop only the
@@ -15,20 +15,20 @@
 //! fill-reducing ordering and symbolic analysis **once**, returning
 //! reusable [`SpdFactors`] whose [`solve`](SpdFactors::solve) /
 //! [`solve_many`](SpdFactors::solve_many) are pure sparse
-//! substitutions. [`FactorCache`] keys factors by content digest (bounded,
-//! thread-safe), and [`solve_spd_cached`] is the drop-in entry point:
-//! factored solve + residual check, falling back to the robust chain
-//! when the matrix is unfactorable or the solution drifts.
+//! substitutions. [`FactorCache`] keys factors by content digest
+//! (bounded, thread-safe).
 //!
-//! # The robust iterative path
+//! # One solve that can fall back
 //!
-//! [`solve_spd_robust`] runs Jacobi-preconditioned
-//! [`conjugate_gradient`], escalating to restarted CG and finally dense
-//! LU ([`DenseMatrix`], [`LuFactors`]) so callers always get a finite
-//! answer or a typed error. [`solve_spd_robust_from`] warm-starts the
-//! first CG attempt from a caller-supplied seed (e.g. the neighbouring
-//! sweep point's solution), guarded so a warm start never returns a
-//! worse residual than a cold one.
+//! [`solve_spd_factored`] is the only solve entry point with a fallback:
+//! it substitutes through the caller's factors and residual-checks the
+//! result. When the matrix is unfactorable (`None` factors) or the
+//! factored solution drifts, it escalates through Jacobi-preconditioned
+//! CG (seeded from the drifted iterate), restarted CG and finally dense
+//! LU ([`DenseMatrix`], [`LuFactors`]), so callers always get a finite
+//! answer or a typed error, and [`SolveDiagnostics`] name the stage
+//! that produced it. The backward-Euler stepper falls back through the
+//! same chain.
 //!
 //! Supporting kernels: [`CsrMatrix`] / [`TripletMatrix`] sparse
 //! storage, [`ode`] backward-Euler / RK4 steppers for
@@ -67,10 +67,10 @@
 //! # Ok::<(), darksil_numerics::NumericsError>(())
 //! ```
 //!
-//! The robust iterative path for one-off systems:
+//! A one-off system without factors goes straight to the chain:
 //!
 //! ```
-//! use darksil_numerics::{TripletMatrix, conjugate_gradient, CgOptions};
+//! use darksil_numerics::{solve_spd_factored, CgOptions, SolveStage, TripletMatrix};
 //!
 //! // A tiny SPD system: [[4,1],[1,3]] x = [1,2]
 //! let mut t = TripletMatrix::new(2, 2);
@@ -79,7 +79,8 @@
 //! t.add(1, 0, 1.0);
 //! t.add(1, 1, 3.0);
 //! let a = t.to_csr();
-//! let x = conjugate_gradient(&a, &[1.0, 2.0], &CgOptions::default())?;
+//! let (x, diag) = solve_spd_factored(None, &a, &[1.0, 2.0], &CgOptions::default())?;
+//! assert_eq!(diag.stage, SolveStage::Cg);
 //! assert!((a.mul_vec(&x)[0] - 1.0).abs() < 1e-8);
 //! # Ok::<(), darksil_numerics::NumericsError>(())
 //! ```
@@ -95,18 +96,14 @@ pub mod ode;
 pub mod robust;
 mod sparse;
 
-pub use cg::{
-    conjugate_gradient, conjugate_gradient_best_effort, conjugate_gradient_from,
-    conjugate_gradient_with_outcome, CgOptions, CgOutcome,
-};
+pub use cg::CgOptions;
 pub use dense::{DenseMatrix, LuFactors};
 pub use error::NumericsError;
 pub use factor::{
-    factor_cache_stats, factor_spd, matrix_digest, solve_spd_cached, solve_spd_cached_from,
-    solve_spd_factored, FactorCache, FactorCacheStats, SpdFactors,
+    factor_cache_stats, factor_spd, solve_spd_factored, FactorCache, FactorCacheStats, SpdFactors,
 };
 pub use lstsq::{fit_least_squares, polynomial_fit};
-pub use robust::{solve_spd_robust, solve_spd_robust_from, SolveDiagnostics, SolveStage};
+pub use robust::{SolveDiagnostics, SolveStage};
 pub use sparse::{CsrMatrix, TripletMatrix};
 
 /// Euclidean norm of a vector.

@@ -10,7 +10,7 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::factor::{FactorCache, SpdFactors};
-use crate::{conjugate_gradient, CgOptions, CsrMatrix, NumericsError, TripletMatrix};
+use crate::{solve_spd_factored, CgOptions, CsrMatrix, NumericsError, TripletMatrix};
 
 /// A linear first-order system `C·dx/dt = b − G·x` with diagonal `C`.
 #[derive(Debug, Clone)]
@@ -135,15 +135,16 @@ impl LinearOde {
 /// The implicit matrix `(C/dt + G)` is fixed for the stepper's lifetime,
 /// so the first [`BackwardEuler::step`] factors it through the global
 /// [`FactorCache`]; every subsequent step is a sparse substitution. When
-/// the matrix cannot be factored the stepper transparently falls back to
-/// conjugate gradient per step.
+/// the matrix cannot be factored, or a substitution comes out
+/// non-finite, the step falls back to [`solve_spd_factored`]'s
+/// CG → restarted-CG → dense-LU chain, exactly like a steady-state solve.
 #[derive(Debug, Clone)]
 pub struct BackwardEuler {
     system: CsrMatrix,
     c_over_dt: Vec<f64>,
     dt: f64,
     /// Lazily-resolved cached factors: `None` inside means the matrix was
-    /// tried and is not factorable (use CG per step).
+    /// tried and is not factorable (every step takes the fallback chain).
     factors: OnceLock<Option<Arc<SpdFactors>>>,
 }
 
@@ -158,8 +159,8 @@ impl BackwardEuler {
     ///
     /// # Errors
     ///
-    /// Propagates solver failures from the inner solve (factored fast
-    /// path with conjugate-gradient fallback).
+    /// Propagates solver failures from the fallback chain (see
+    /// [`solve_spd_factored`]).
     ///
     /// # Panics
     ///
@@ -182,7 +183,7 @@ impl BackwardEuler {
                 return Ok(x_next);
             }
         }
-        conjugate_gradient(&self.system, &rhs, &CgOptions::default())
+        solve_spd_factored(None, &self.system, &rhs, &CgOptions::default()).map(|(x, _)| x)
     }
 }
 
@@ -260,6 +261,23 @@ mod tests {
         for (a, b) in x_be.iter().zip(&x_rk) {
             assert!((a - b).abs() < 1e-2, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn unfactorable_step_is_rescued_by_the_fallback_chain() {
+        // G = −2·I, C = 1, dt = 1 ⇒ C/dt + G = −I: factor_spd declines a
+        // negative pivot and CG breaks down on the first iteration, so
+        // only the chain's dense-LU stage can take the step, to −(x + b).
+        let mut t = TripletMatrix::new(2, 2);
+        t.add(0, 0, -2.0);
+        t.add(1, 1, -2.0);
+        let sys = LinearOde::new(t.to_csr(), vec![1.0, 1.0]).expect("numerics succeed");
+        let stepper = sys.backward_euler(1.0).expect("numerics succeed");
+        let next = stepper
+            .step(&[1.0, -3.0], &[0.5, 2.0])
+            .expect("dense LU takes the step");
+        assert!((next[0] + 1.5).abs() < 1e-12, "{}", next[0]);
+        assert!((next[1] - 1.0).abs() < 1e-12, "{}", next[1]);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Robust SPD solve with a staged fallback chain.
+//! The staged fallback chain behind [`crate::solve_spd_factored`].
 //!
 //! Stage 1 runs Jacobi-preconditioned CG with the caller's options.
 //! Stage 2 restarts CG from the stalled iterate with a relaxed tolerance
 //! and a doubled iteration budget. Stage 3 abandons iteration entirely
 //! and factorises the (small, by then known-finite) system densely.
-//! Callers therefore only see [`NumericsError::ConvergenceFailure`] when
-//! even LU cannot produce a finite solution, and the returned
-//! [`SolveDiagnostics`] record which stage produced the answer.
+//! Callers therefore only see an error when even LU cannot produce a
+//! finite solution, and the returned [`SolveDiagnostics`] record which
+//! stage produced the answer.
 
 use crate::cg::conjugate_gradient_best_effort;
 use crate::{norm2, CgOptions, CsrMatrix, NumericsError};
@@ -42,7 +42,7 @@ impl SolveStage {
     }
 }
 
-/// Diagnostics attached to every robust solve.
+/// Diagnostics attached to every solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveDiagnostics {
     /// Stage that produced the returned solution.
@@ -55,55 +55,8 @@ pub struct SolveDiagnostics {
     pub fallbacks: usize,
 }
 
-/// Solves `A·x = b` through the CG → restarted CG → dense LU chain.
-///
-/// # Errors
-///
-/// - [`NumericsError::NonFinite`] if the matrix or right-hand side
-///   contains NaN or infinite entries (checked up front, naming the
-///   offending position).
-/// - [`NumericsError::DimensionMismatch`] for incompatible shapes.
-/// - [`NumericsError::ConvergenceFailure`] or
-///   [`NumericsError::SingularMatrix`] only when every stage, including
-///   dense LU, failed.
-pub fn solve_spd_robust(
-    a: &CsrMatrix,
-    b: &[f64],
-    options: &CgOptions,
-) -> Result<(Vec<f64>, SolveDiagnostics), NumericsError> {
-    solve_spd_robust_from(a, b, None, options)
-}
-
-/// [`solve_spd_robust`] with an optional warm-start seed for the first
-/// CG attempt — typically the previous fixed-point iteration's or the
-/// neighbouring sweep point's solution.
-///
-/// The seed is guarded: it is only used when it is finite and its
-/// residual beats a cold (zero) start, so a warm-started solve never
-/// returns a worse residual than a cold one would.
-///
-/// # Errors
-///
-/// Same as [`solve_spd_robust`].
-pub fn solve_spd_robust_from(
-    a: &CsrMatrix,
-    b: &[f64],
-    seed: Option<&[f64]>,
-    options: &CgOptions,
-) -> Result<(Vec<f64>, SolveDiagnostics), NumericsError> {
-    let _span = darksil_obs::span("numerics.solve_spd");
-    #[allow(clippy::cast_precision_loss)]
-    darksil_obs::observe("numerics.solve_rows", a.rows() as f64);
-    let result = solve_chain_from(a, b, seed, options);
-    if let Ok((_, diag)) = &result {
-        record_diagnostics(diag);
-    }
-    result
-}
-
 /// Records the per-solve counters and observations for a finished
-/// solve. Shared between the robust chain and the factor-cached path so
-/// both feed the same `trace summarize` derived solver line.
+/// solve, feeding the `trace summarize` derived solver line.
 pub(crate) fn record_diagnostics(diag: &SolveDiagnostics) {
     darksil_obs::counter(
         match diag.stage {
@@ -125,6 +78,17 @@ pub(crate) fn record_diagnostics(diag: &SolveDiagnostics) {
     }
 }
 
+/// Runs the CG → restarted CG → dense LU chain, seeding the first CG
+/// attempt from `seed` when the guard below accepts it.
+///
+/// # Errors
+///
+/// - [`NumericsError::NonFinite`] if the matrix or right-hand side
+///   contains NaN or infinite entries (checked up front, naming the
+///   offending position).
+/// - [`NumericsError::DimensionMismatch`] for incompatible shapes.
+/// - [`NumericsError::SingularMatrix`] only when every stage, including
+///   dense LU, failed.
 pub(crate) fn solve_chain_from(
     a: &CsrMatrix,
     b: &[f64],
@@ -170,7 +134,6 @@ pub(crate) fn solve_chain_from(
     let relaxed = CgOptions {
         tolerance: (options.tolerance * RELAXATION).min(RELAXED_FLOOR),
         max_iterations: stage_two_budget(options, a.rows()),
-        jacobi_preconditioner: true,
     };
     let warm: Option<&[f64]> = if x1.iter().all(|v| v.is_finite()) {
         Some(&x1)
@@ -245,7 +208,8 @@ fn check_finite_inputs(a: &CsrMatrix, b: &[f64]) -> Result<(), NumericsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TripletMatrix;
+    use crate::{solve_spd_factored, TripletMatrix};
+    use proptest::prelude::*;
 
     fn laplacian(n: usize) -> CsrMatrix {
         let mut t = TripletMatrix::new(n, n);
@@ -260,7 +224,7 @@ mod tests {
     fn healthy_system_stays_in_stage_one() {
         let a = laplacian(30);
         let b = vec![1.0; 30];
-        let (x, diag) = solve_spd_robust(&a, &b, &CgOptions::default()).expect("solves");
+        let (x, diag) = solve_spd_factored(None, &a, &b, &CgOptions::default()).expect("solves");
         assert_eq!(diag.stage, SolveStage::Cg);
         assert_eq!(diag.fallbacks, 0);
         let r = a.mul_vec(&x);
@@ -276,9 +240,8 @@ mod tests {
         let opts = CgOptions {
             tolerance: 1.0e-12,
             max_iterations: 2,
-            jacobi_preconditioner: true,
         };
-        let (x, diag) = solve_spd_robust(&a, &b, &opts).expect("fallback chain solves");
+        let (x, diag) = solve_spd_factored(None, &a, &b, &opts).expect("fallback chain solves");
         assert!(diag.fallbacks >= 1, "expected at least one fallback");
         let r = a.mul_vec(&x);
         for (i, ri) in r.iter().enumerate() {
@@ -295,7 +258,8 @@ mod tests {
         t.add(0, 0, -1.0);
         t.add(1, 1, -1.0);
         let a = t.to_csr();
-        let (x, diag) = solve_spd_robust(&a, &[3.0, 3.0], &CgOptions::default()).expect("lu");
+        let (x, diag) =
+            solve_spd_factored(None, &a, &[3.0, 3.0], &CgOptions::default()).expect("lu");
         assert_eq!(diag.stage, SolveStage::DenseLu);
         assert!((x[0] + 3.0).abs() < 1e-9 && (x[1] + 3.0).abs() < 1e-9);
     }
@@ -305,14 +269,14 @@ mod tests {
         let a = laplacian(4);
         let mut b = vec![1.0; 4];
         b[2] = f64::NAN;
-        let err = solve_spd_robust(&a, &b, &CgOptions::default()).expect_err("rejects NaN");
+        let err = solve_spd_factored(None, &a, &b, &CgOptions::default()).expect_err("rejects NaN");
         assert!(matches!(err, NumericsError::NonFinite { .. }));
         assert!(err.to_string().contains("entry 2"), "{err}");
 
         let mut t = TripletMatrix::new(2, 2);
         t.add(0, 0, f64::INFINITY);
         t.add(1, 1, 1.0);
-        let err = solve_spd_robust(&t.to_csr(), &[1.0, 1.0], &CgOptions::default())
+        let err = solve_spd_factored(None, &t.to_csr(), &[1.0, 1.0], &CgOptions::default())
             .expect_err("rejects Inf");
         assert!(err.to_string().contains("(0, 0)"), "{err}");
     }
@@ -321,9 +285,9 @@ mod tests {
     fn warm_start_from_exact_solution_converges_immediately() {
         let a = laplacian(40);
         let b = vec![1.0; 40];
-        let (x, _) = solve_spd_robust(&a, &b, &CgOptions::default()).expect("cold solves");
+        let (x, _) = solve_chain_from(&a, &b, None, &CgOptions::default()).expect("cold solves");
         let (x2, diag) =
-            solve_spd_robust_from(&a, &b, Some(&x), &CgOptions::default()).expect("warm solves");
+            solve_chain_from(&a, &b, Some(&x), &CgOptions::default()).expect("warm solves");
         assert_eq!(diag.stage, SolveStage::Cg);
         assert!(
             diag.cg_iterations <= 1,
@@ -341,7 +305,7 @@ mod tests {
         // A wildly wrong seed (worse than a zero start) and a NaN seed
         // must both be ignored rather than poisoning the solve.
         for seed in [vec![1.0e9; 20], vec![f64::NAN; 20], vec![0.0; 5]] {
-            let (x, _) = solve_spd_robust_from(&a, &b, Some(&seed), &CgOptions::default())
+            let (x, _) = solve_chain_from(&a, &b, Some(&seed), &CgOptions::default())
                 .expect("solves despite bad seed");
             let r = a.mul_vec(&x);
             assert!((r[10] - 1.0).abs() < 1e-6);
@@ -355,8 +319,69 @@ mod tests {
         t.add(0, 1, 1.0);
         t.add(1, 0, 1.0);
         t.add(1, 1, 1.0);
-        let err = solve_spd_robust(&t.to_csr(), &[1.0, 2.0], &CgOptions::default())
+        let err = solve_spd_factored(None, &t.to_csr(), &[1.0, 2.0], &CgOptions::default())
             .expect_err("singular");
         assert!(matches!(err, NumericsError::SingularMatrix { .. }));
+    }
+
+    /// A random `w×h` RC-grid conductance matrix.
+    fn random_rc_grid(w: usize, h: usize, edges: &[f64], grounds: &[f64]) -> CsrMatrix {
+        let n = w * h;
+        let mut t = TripletMatrix::new(n, n);
+        let mut k = 0;
+        for y in 0..h {
+            for x in 0..w {
+                let i = y * w + x;
+                if x + 1 < w {
+                    t.stamp_conductance(i, i + 1, edges[k % edges.len()]);
+                    k += 1;
+                }
+                if y + 1 < h {
+                    t.stamp_conductance(i, i + w, edges[k % edges.len()]);
+                    k += 1;
+                }
+                t.stamp_to_reference(i, grounds[i % grounds.len()]);
+            }
+        }
+        t.to_csr()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A warm-started solve never returns a worse residual than the
+        /// cold-started one (up to the convergence target both are
+        /// allowed to stop at) — whatever seed is offered, including
+        /// terrible ones.
+        #[test]
+        fn warm_start_never_worse_than_cold(
+            w in 2_usize..6,
+            h in 2_usize..6,
+            edges in prop::collection::vec(0.1_f64..10.0, 8),
+            grounds in prop::collection::vec(0.05_f64..2.0, 8),
+            loads in prop::collection::vec(-10.0_f64..10.0, 8),
+            seed_scale in -2.0_f64..2.0,
+        ) {
+            let a = random_rc_grid(w, h, &edges, &grounds);
+            let n = w * h;
+            let b: Vec<f64> = (0..n).map(|i| loads[i % loads.len()]).collect();
+            let options = CgOptions::default();
+
+            let (x_cold, cold) = solve_chain_from(&a, &b, None, &options).expect("cold solves");
+            // Seed anywhere between "garbage" and "nearly exact".
+            let seed: Vec<f64> = x_cold.iter().map(|v| v * seed_scale).collect();
+            let (_, warm) =
+                solve_chain_from(&a, &b, Some(&seed), &options).expect("warm solves");
+
+            let norm_b = b.iter().map(|v| v * v).sum::<f64>().sqrt();
+            let target = options.tolerance * (1.0 + norm_b);
+            prop_assert!(
+                warm.residual <= cold.residual.max(target) * (1.0 + 1e-9),
+                "warm residual {} exceeds cold {} (target {target})",
+                warm.residual,
+                cold.residual
+            );
+            prop_assert!(warm.cg_iterations <= cold.cg_iterations + 1);
+        }
     }
 }

@@ -2,7 +2,8 @@
 
 use darksil_numerics::ode::LinearOde;
 use darksil_numerics::{
-    conjugate_gradient, fit_least_squares, polynomial_fit, CgOptions, DenseMatrix, TripletMatrix,
+    fit_least_squares, polynomial_fit, solve_spd_factored, CgOptions, DenseMatrix, SolveStage,
+    TripletMatrix,
 };
 use proptest::prelude::*;
 
@@ -98,7 +99,8 @@ proptest! {
         t.stamp_to_reference(0, grounds[0]);
         t.stamp_to_reference(n - 1, grounds[1]);
         let a = t.to_csr();
-        let x = conjugate_gradient(&a, &rhs, &CgOptions::default()).unwrap();
+        let (x, diag) = solve_spd_factored(None, &a, &rhs, &CgOptions::default()).unwrap();
+        prop_assert_eq!(diag.stage, SolveStage::Cg);
         let r = a.mul_vec(&x);
         for (ri, bi) in r.iter().zip(&rhs) {
             prop_assert!((ri - bi).abs() < 1e-6);
@@ -156,10 +158,10 @@ proptest! {
     }
 }
 
-// Properties of the robust solver chain: whatever the conductance
-// topology and however starved the CG stage is, `solve_spd_robust`
-// still delivers an accurate solution — it just reports the fallbacks
-// it needed.
+// Properties of the fallback chain (`solve_spd_factored` without
+// factors): whatever the conductance topology and however starved the
+// CG stage is, it still delivers an accurate solution — it just reports
+// the fallbacks it needed.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -171,7 +173,6 @@ proptest! {
         grounds in prop::collection::vec(0.5_f64..5.0, 20),
         rhs in prop::collection::vec(-10.0_f64..10.0, 20),
     ) {
-        use darksil_numerics::solve_spd_robust;
         let n = 20;
         let mut t = TripletMatrix::new(n, n);
         for (i, &g) in edges.iter().enumerate() {
@@ -181,7 +182,7 @@ proptest! {
             t.stamp_to_reference(i, g);
         }
         let a = t.to_csr();
-        let (x, diag) = solve_spd_robust(&a, &rhs, &CgOptions::default())
+        let (x, diag) = solve_spd_factored(None, &a, &rhs, &CgOptions::default())
             .expect("healthy SPD system must solve");
         let residual: f64 = a
             .mul_vec(&x)
@@ -203,7 +204,6 @@ proptest! {
         rhs in prop::collection::vec(-10.0_f64..10.0, 20),
         cap in 1_usize..4,
     ) {
-        use darksil_numerics::solve_spd_robust;
         let n = 20;
         let mut t = TripletMatrix::new(n, n);
         for (i, &g) in edges.iter().enumerate() {
@@ -217,7 +217,7 @@ proptest! {
             max_iterations: cap,
             ..CgOptions::default()
         };
-        let (x, diag) = solve_spd_robust(&a, &rhs, &options)
+        let (x, diag) = solve_spd_factored(None, &a, &rhs, &options)
             .expect("fallback chain must rescue a starved CG");
         let residual: f64 = a
             .mul_vec(&x)
@@ -270,13 +270,12 @@ fn residual_of(a: &darksil_numerics::CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
 }
 
 // Properties of the factor-cached fast path: a direct LDLᵀ solve must
-// agree with the iterative chain, and warm starts must never make a
-// solve worse.
+// agree with the iterative chain.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The factored path and `solve_spd_robust` agree to tolerance on
-    /// random SPD RC grids.
+    /// The factored path and the chain (`None` factors) agree to
+    /// tolerance on random SPD RC grids.
     #[test]
     fn factored_path_agrees_with_robust_chain(
         w in 2_usize..7,
@@ -285,53 +284,18 @@ proptest! {
         grounds in prop::collection::vec(0.05_f64..2.0, 8),
         loads in prop::collection::vec(-10.0_f64..10.0, 8),
     ) {
-        use darksil_numerics::{factor_spd, solve_spd_robust};
+        use darksil_numerics::factor_spd;
         let a = random_rc_grid(w, h, &edges, &grounds);
         let n = w * h;
         let b: Vec<f64> = (0..n).map(|i| loads[i % loads.len()]).collect();
         let factors = factor_spd(&a).expect("RC grids are SPD");
         let x = factors.solve(&b).expect("factored solve succeeds");
-        let (x_chain, _) = solve_spd_robust(&a, &b, &CgOptions::default())
+        let (x_chain, _) = solve_spd_factored(None, &a, &b, &CgOptions::default())
             .expect("robust chain solves");
         let scale = 1.0 + b.iter().map(|v| v * v).sum::<f64>().sqrt();
         prop_assert!(residual_of(&a, &x, &b) < 1e-8 * scale);
         for (xf, xc) in x.iter().zip(&x_chain) {
             prop_assert!((xf - xc).abs() < 1e-5 * scale, "{xf} vs {xc}");
         }
-    }
-
-    /// A warm-started solve never returns a worse residual than the
-    /// cold-started one (up to the convergence target both are allowed
-    /// to stop at) — whatever seed is offered, including terrible ones.
-    #[test]
-    fn warm_start_never_worse_than_cold(
-        w in 2_usize..6,
-        h in 2_usize..6,
-        edges in prop::collection::vec(0.1_f64..10.0, 8),
-        grounds in prop::collection::vec(0.05_f64..2.0, 8),
-        loads in prop::collection::vec(-10.0_f64..10.0, 8),
-        seed_scale in -2.0_f64..2.0,
-    ) {
-        use darksil_numerics::{solve_spd_robust, solve_spd_robust_from};
-        let a = random_rc_grid(w, h, &edges, &grounds);
-        let n = w * h;
-        let b: Vec<f64> = (0..n).map(|i| loads[i % loads.len()]).collect();
-        let options = CgOptions::default();
-
-        let (x_cold, cold) = solve_spd_robust(&a, &b, &options).expect("cold solves");
-        // Seed anywhere between "garbage" and "nearly exact".
-        let seed: Vec<f64> = x_cold.iter().map(|v| v * seed_scale).collect();
-        let (_, warm) = solve_spd_robust_from(&a, &b, Some(&seed), &options)
-            .expect("warm solves");
-
-        let norm_b = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let target = options.tolerance * (1.0 + norm_b);
-        prop_assert!(
-            warm.residual <= cold.residual.max(target) * (1.0 + 1e-9),
-            "warm residual {} exceeds cold {} (target {target})",
-            warm.residual,
-            cold.residual
-        );
-        prop_assert!(warm.cg_iterations <= cold.cg_iterations + 1);
     }
 }

@@ -2,8 +2,8 @@
 //! fixed-window rolling histograms with a deterministic Prometheus
 //! text exposition.
 //!
-//! Where the span/event recorder ([`crate::recorder`]) captures a
-//! *bounded run* and drains it destructively, this registry serves a
+//! Where the span/event recorder ([`crate::enable`] … [`crate::drain`])
+//! captures a *bounded run* and drains it destructively, this registry serves a
 //! *long-running process*: a daemon calls [`metrics_enable`] once at
 //! startup and scrapes [`render_prometheus`] for as long as it lives.
 //! The two subsystems share the design that made the recorder cheap —

@@ -24,14 +24,6 @@ pub enum Fault {
         /// Steps between poisoned samples.
         period: u64,
     },
-    /// Caps the CG iteration budget, forcing [`ConvergenceFailure`]
-    /// so the fallback chain must engage.
-    ///
-    /// [`ConvergenceFailure`]: https://en.wikipedia.org/wiki/Conjugate_gradient_method
-    CgIterationCap {
-        /// The forced maximum iteration count.
-        cap: usize,
-    },
     /// Replaces the requested operating frequency with an off-ladder
     /// value; a graceful consumer throttles to the nearest safe level.
     OffLadderFrequency {
@@ -62,8 +54,8 @@ pub enum Fault {
 /// shrunk test case) replays identically.
 ///
 /// The plan is *passive*: consumers ask it to corrupt their sensor or
-/// power buffers at each control step and to report solver caps or
-/// bogus frequency requests. An empty plan is a no-op, so
+/// power buffers at each control step and to report bogus frequency
+/// requests. An empty plan is a no-op, so
 /// fault-tolerant code paths can take a `&FaultPlan` unconditionally.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -72,7 +64,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan: corrupts nothing, caps nothing.
+    /// An empty plan: corrupts nothing.
     #[must_use]
     pub fn none() -> Self {
         Self {
@@ -164,15 +156,6 @@ impl FaultPlan {
             }
         }
         touched
-    }
-
-    /// The forced CG iteration cap, if the plan carries one.
-    #[must_use]
-    pub fn cg_iteration_cap(&self) -> Option<usize> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::CgIterationCap { cap } => Some(*cap),
-            _ => None,
-        })
     }
 
     /// The off-ladder frequency request, if the plan carries one.
@@ -268,7 +251,7 @@ mod tests {
         assert_eq!(plan.corrupt_temperatures(0, &mut temps), 0);
         assert_eq!(plan.corrupt_power(0, &mut power), 0);
         assert_eq!(temps, vec![60.0, 61.0]);
-        assert!(plan.cg_iteration_cap().is_none());
+        assert!(plan.off_ladder_frequency_ghz().is_none());
         assert!(plan.is_empty());
     }
 
@@ -310,11 +293,8 @@ mod tests {
     }
 
     #[test]
-    fn caps_and_off_ladder_queries() {
-        let plan = FaultPlan::new(1)
-            .with(Fault::CgIterationCap { cap: 2 })
-            .with(Fault::OffLadderFrequency { ghz: 3.333 });
-        assert_eq!(plan.cg_iteration_cap(), Some(2));
+    fn off_ladder_query() {
+        let plan = FaultPlan::new(1).with(Fault::OffLadderFrequency { ghz: 3.333 });
         assert_eq!(plan.off_ladder_frequency_ghz(), Some(3.333));
     }
 

@@ -1,7 +1,5 @@
 //! Resilience layer for the darksil pipeline.
 //!
-//! Two halves:
-//!
 //! - [`DarksilError`], the workspace-level error taxonomy. Every crate
 //!   keeps its own local error enum (so callers can still match on
 //!   domain-specific failures) and provides `From<LocalError> for
@@ -10,24 +8,28 @@
 //!   machine-readable classes without downcasting.
 //! - [`FaultPlan`], the fault-injection harness. Tests and the `repro
 //!   --inject` flag use it to corrupt sensor readings, poison power
-//!   samples with NaN, cap CG iteration budgets, request off-ladder
-//!   frequencies, and simulate hung/slow/transiently-failing jobs,
-//!   verifying that DTM, DsRem and the job supervisor *degrade*
-//!   (throttle, retry, relax tolerances) instead of panicking.
+//!   samples with NaN, request off-ladder frequencies, and simulate
+//!   hung/slow/transiently-failing jobs, verifying that DTM, DsRem and
+//!   the job supervisor *degrade* (throttle, retry, relax tolerances)
+//!   instead of panicking.
 //! - [`CancellationToken`] / [`RunContext`], cooperative cancellation
 //!   with wall-clock deadlines. The context is thread-scoped (see
 //!   [`scoped`]) so CG iterations and per-step policy loops can poll
 //!   [`check_deadline`] without every solver signature growing a token
 //!   parameter.
+//! - [`write_atomic`], the tmp+rename write behind every persisted
+//!   artefact, journal, cache entry and served file.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod atomic;
 mod cancel;
 mod error;
 mod fault;
 mod hash;
 mod rng;
 
+pub use atomic::write_atomic;
 pub use cancel::{
     check_deadline, current_attempt, is_degraded, run_context, scoped, CancellationToken,
     RunContext,

@@ -251,7 +251,6 @@ impl Registry {
             }
             let snapshot = record.clone();
             inner.stats.deduped += 1;
-            darksil_obs::counter("serve.admission.deduped", 1);
             return Ok(Admission::Duplicate(snapshot));
         }
         let inflight = inner
@@ -261,7 +260,6 @@ impl Registry {
             .count();
         if inflight >= self.max_inflight {
             inner.stats.rejected_global += 1;
-            darksil_obs::counter("serve.admission.rejected", 1);
             return Err(Rejection::GlobalInflight {
                 max: self.max_inflight,
             });
@@ -273,7 +271,6 @@ impl Registry {
             .count();
         if tenant_load >= self.tenant_quota {
             inner.stats.rejected_tenant += 1;
-            darksil_obs::counter("serve.admission.rejected", 1);
             return Err(Rejection::TenantQuota {
                 tenant: tenant.to_string(),
                 quota: self.tenant_quota,
@@ -293,7 +290,6 @@ impl Registry {
             },
         );
         inner.stats.admitted += 1;
-        darksil_obs::counter("serve.admission.admitted", 1);
         Ok(Admission::New)
     }
 
@@ -396,7 +392,6 @@ impl Registry {
     /// Counts a request rejected before routing.
     pub fn note_bad_request(&self) {
         self.lock().stats.bad_requests += 1;
-        darksil_obs::counter("serve.http.bad_request", 1);
         darksil_obs::counter_add("darksil_serve_bad_requests_total", &[], 1);
     }
 

@@ -45,7 +45,7 @@ use darksil_bench::{ArtefactState, Journal};
 use darksil_engine::{BackoffPolicy, JobSpec, ResultCache, Supervisor, ThreadPool};
 use darksil_json::{FromJson, Json, ObjReader, ToJson};
 use darksil_obs::{EventRecord, EventStream};
-use darksil_robust::{CancellationToken, DarksilError, Fault, FaultPlan};
+use darksil_robust::{write_atomic, CancellationToken, DarksilError, Fault, FaultPlan};
 use darksil_scenario::{run_scenario, Scenario, ScenarioError};
 
 use crate::http::{self, Parsed, Request, Response};
@@ -319,19 +319,6 @@ fn io_error(what: &str, error: &std::io::Error) -> DarksilError {
     DarksilError::io(format!("{what}: {error}"))
 }
 
-fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> Result<(), DarksilError> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)
-            .map_err(|e| io_error(&format!("cannot create {}", parent.display()), &e))?;
-    }
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, bytes)
-        .map_err(|e| io_error(&format!("cannot write {}", tmp.display()), &e))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| io_error(&format!("cannot commit {}", path.display()), &e))?;
-    Ok(())
-}
-
 fn journal_fingerprint() -> Json {
     Json::Obj(vec![
         (
@@ -409,7 +396,6 @@ impl Server {
         });
         let resumed = resume(&state)?;
         if resumed > 0 {
-            darksil_obs::counter("serve.resume.requeued", resumed as u64);
             darksil_obs::counter_add("darksil_serve_resume_requeued_total", &[], resumed as u64);
         }
         Ok(Self { state, listener })
@@ -595,7 +581,6 @@ fn run_job(state: &Arc<ServerState>, digest: &str) {
     {
         // The journal directory is gone; still run the job so the
         // client gets an answer — resume safety is already lost.
-        darksil_obs::counter("serve.journal.write_failed", 1);
         darksil_obs::counter_add("darksil_serve_journal_write_failures_total", &[], 1);
     }
     let started = Instant::now();
@@ -696,16 +681,14 @@ fn finish_job(
         // complete: a crash between the two re-runs the job, which is
         // idempotent; the reverse order could acknowledge an artefact
         // that does not exist.
-        atomic_write(&state.artefact_path(digest), &bytes)?;
+        write_atomic(&state.artefact_path(digest), &bytes)?;
         Ok(())
     });
     match outcome {
         Ok(()) => {
             let (job_state, artefact_state) = if degraded {
-                darksil_obs::counter("serve.job.degraded", 1);
                 (JobState::Degraded, ArtefactState::Degraded)
             } else {
-                darksil_obs::counter("serve.job.done", 1);
                 (JobState::Done, ArtefactState::Done)
             };
             darksil_obs::counter_add(
@@ -718,7 +701,6 @@ fn finish_job(
                 .record_finished(digest, artefact_state, None, attempts.clone(), seconds)
                 .is_err()
             {
-                darksil_obs::counter("serve.journal.write_failed", 1);
                 darksil_obs::counter_add("darksil_serve_journal_write_failures_total", &[], 1);
             }
             state
@@ -726,7 +708,6 @@ fn finish_job(
                 .finish(digest, job_state, None, attempts, seconds, cache);
         }
         Err(error) => {
-            darksil_obs::counter("serve.job.failed", 1);
             darksil_obs::counter_add(
                 "darksil_serve_jobs_total",
                 &[("outcome", "failed"), ("tenant", &tenant)],
@@ -744,7 +725,6 @@ fn finish_job(
                 )
                 .is_err()
             {
-                darksil_obs::counter("serve.journal.write_failed", 1);
                 darksil_obs::counter_add("darksil_serve_journal_write_failures_total", &[], 1);
             }
             state.registry.finish(
@@ -909,7 +889,6 @@ fn note_request_metrics(method: &str, path: &str, status: u16, seconds: f64) {
 
 fn route(state: &Arc<ServerState>, request: &Request) -> Response {
     let _span = darksil_obs::span("serve.http.request");
-    darksil_obs::counter("serve.http.requests", 1);
     let started = Instant::now();
     let response = route_inner(state, request);
     note_request_metrics(
@@ -1084,7 +1063,7 @@ fn handle_submit(state: &Arc<ServerState>, request: &Request) -> Response {
                 scenario,
                 faults,
             };
-            let persisted = atomic_write(
+            let persisted = write_atomic(
                 &state.spool_path(&digest),
                 spool.to_json().pretty().as_bytes(),
             )
@@ -1320,7 +1299,7 @@ fn replay_events(state: &Arc<ServerState>, digest: &str) -> Result<EventStream, 
         event.seq.drain(..2);
     }
     let stream = EventStream { events };
-    atomic_write(&state.events_path(digest), stream.to_jsonl().as_bytes())?;
+    write_atomic(&state.events_path(digest), stream.to_jsonl().as_bytes())?;
     darksil_obs::counter_add("darksil_serve_events_replayed_total", &[], 1);
     Ok(stream)
 }

@@ -105,10 +105,7 @@ mod tests {
         assert!(e.to_string().contains("99"));
         assert!(e.source().is_none());
 
-        let inner = NumericsError::ConvergenceFailure {
-            iterations: 5,
-            residual: 1.0,
-        };
+        let inner = NumericsError::SingularMatrix { pivot: 5 };
         let e = ThermalError::from(inner);
         assert!(e.source().is_some());
         assert!(e.to_string().contains("thermal solve failed"));

@@ -15,10 +15,11 @@
 //! * heat capacities per cell (plus the package's convection
 //!   capacitance) for transient analysis.
 //!
-//! Steady states solve the SPD system `G·T = P + G_amb·T_amb` with
-//! conjugate gradients (or a pre-factored dense LU for solve-many
-//! sweeps); transients integrate `C·dT/dt = P + G_amb·T_amb − G·T` with
-//! the backward-Euler stepper of `darksil-numerics`.
+//! Steady states solve the SPD system `G·T = P + G_amb·T_amb` by
+//! substitution through sparse LDLᵀ factors cached per floorplan, with
+//! `darksil-numerics`' CG → restarted-CG → dense-LU chain as the
+//! fallback; transients integrate `C·dT/dt = P + G_amb·T_amb − G·T` with
+//! its backward-Euler stepper, which falls back through the same chain.
 //!
 //! # Examples
 //!
@@ -57,6 +58,6 @@ pub const DEGRADED_CG_TOLERANCE: f64 = 1.0e-6;
 
 pub use error::ThermalError;
 pub use map::ThermalMap;
-pub use model::{SteadySolver, ThermalModel};
+pub use model::ThermalModel;
 pub use package::{LayerConfig, PackageConfig};
 pub use transient::TransientSim;

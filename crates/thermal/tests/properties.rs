@@ -52,16 +52,26 @@ proptest! {
         }
     }
 
-    /// The prefactored LU solver agrees with CG for any power map.
+    /// The steady state agrees with a dense LU solve of
+    /// `G·T = P + G_amb·T_amb` for any power map.
     #[test]
-    fn lu_and_cg_agree(
+    fn steady_state_matches_dense_lu(
         powers in prop::collection::vec(0.0_f64..5.0, 16),
     ) {
         let m = model_4x4();
         let power: Vec<Watts> = powers.iter().map(|&p| Watts::new(p)).collect();
-        let cg = m.steady_state(&power).unwrap();
-        let lu = m.prefactored().unwrap().solve(&power).unwrap();
-        for (a, b) in cg.state().iter().zip(lu.state()) {
+        let steady = m.steady_state(&power).unwrap();
+        let mut rhs: Vec<f64> = m
+            .ambient_conductances()
+            .iter()
+            .map(|g| g * m.ambient().value())
+            .collect();
+        // Die cells come first in node order, one per core.
+        for (r, p) in rhs.iter_mut().zip(&powers) {
+            *r += p;
+        }
+        let lu = m.conductance().to_dense().solve(&rhs).unwrap();
+        for (a, b) in steady.state().iter().zip(&lu) {
             prop_assert!((a - b).abs() < 1e-5);
         }
     }

@@ -2,7 +2,7 @@
 
 use darksil_floorplan::Floorplan;
 use darksil_mapping::{spread_cores, Platform};
-use darksil_numerics::{conjugate_gradient, CgOptions, TripletMatrix};
+use darksil_numerics::{solve_spd_factored, CgOptions, SolveStage, TripletMatrix};
 use darksil_power::{CorePowerModel, TechnologyNode, VfRelation};
 use darksil_thermal::{PackageConfig, ThermalModel};
 use darksil_tsp::TspCalculator;
@@ -74,8 +74,9 @@ proptest! {
         }
     }
 
-    /// Conjugate gradients solves random SPD (diagonally dominant)
-    /// systems to the same answer as dense LU.
+    /// Conjugate gradients (the unfactored solve's first stage) solves
+    /// random SPD (diagonally dominant) systems to the same answer as
+    /// dense LU.
     #[test]
     fn cg_matches_lu_on_random_spd(
         offdiag in prop::collection::vec(0.01_f64..2.0, 12),
@@ -89,7 +90,8 @@ proptest! {
         t.stamp_to_reference(0, 1.0);
         t.stamp_to_reference(n - 1, 0.5);
         let a = t.to_csr();
-        let x_cg = conjugate_gradient(&a, &rhs, &CgOptions::default()).unwrap();
+        let (x_cg, diag) = solve_spd_factored(None, &a, &rhs, &CgOptions::default()).unwrap();
+        prop_assert_eq!(diag.stage, SolveStage::Cg);
         let x_lu = a.to_dense().solve(&rhs).unwrap();
         for (c, l) in x_cg.iter().zip(&x_lu) {
             prop_assert!((c - l).abs() < 1e-6, "cg {c} vs lu {l}");
