@@ -67,8 +67,13 @@ fn bench_be_vs_rk4(c: &mut Criterion) {
     let x0 = vec![45.0; n];
 
     g.bench_function("backward_euler_step_1ms", |bch| {
-        let stepper = ode.backward_euler(1.0e-3).unwrap();
-        bch.iter(|| black_box(stepper.step(&x0, &b_vec).unwrap()));
+        let mut stepper = ode.backward_euler(1.0e-3).unwrap();
+        let mut x = x0.clone();
+        bch.iter(|| {
+            x.copy_from_slice(&x0);
+            stepper.step(black_box(&mut x), &b_vec).unwrap();
+            black_box(&x);
+        });
     });
     g.bench_function("rk4_step_1us", |bch| {
         bch.iter(|| black_box(ode.rk4_step(&x0, &b_vec, 1.0e-6)));

@@ -7,8 +7,8 @@
 
 use darksil_archsim::{McPatSampler, SampleSweep};
 use darksil_boost::{
-    iso_performance_comparison, run_boosting, run_constant, sweep_active_cores, IsoPerfComparison,
-    PolicyConfig, PolicyTrace, SweepPoint,
+    iso_performance_comparison, run_boosting, run_boosting_and_constant, run_constant,
+    sweep_active_cores, IsoPerfComparison, PolicyConfig, PolicyTrace, SweepPoint,
 };
 use darksil_core::{scenarios, tsp_eval, DarkSiliconEstimator};
 use darksil_engine::Engine;
@@ -775,8 +775,7 @@ pub fn fig13(fidelity: Fidelity) -> Result<Vec<Fig13Row>, Box<dyn std::error::Er
             return Ok(None);
         }
         let mapping = place_patterned(platform.floorplan(), &workload, platform.max_level())?;
-        let boost = run_boosting(&platform, &mapping, horizon, &config)?;
-        let constant = run_constant(&platform, &mapping, horizon, &config)?;
+        let (boost, constant) = run_boosting_and_constant(&platform, &mapping, horizon, &config)?;
         Ok(Some(Fig13Row {
             app,
             instances,

@@ -9,7 +9,7 @@
 //! verify`) check per-segment invariants between the markers.
 
 use darksil_mapping::{Mapping, Platform};
-use darksil_thermal::{ThermalMap, TransientSim};
+use darksil_thermal::TransientSim;
 use darksil_units::{Celsius, Gips, Hertz, Seconds, Watts};
 
 use crate::{BoostError, PolicyTrace, TraceSample};
@@ -72,8 +72,8 @@ pub(crate) trait Controller {
 
     /// Chooses the next period's levels from a read-only view of the
     /// step just taken: the mapping that ran, the sample recorded for
-    /// it and the temperatures it ended at.
-    fn react(&mut self, working: &Mapping, sample: &TraceSample, map: &ThermalMap);
+    /// it and the per-core die temperatures it ended at.
+    fn react(&mut self, working: &Mapping, sample: &TraceSample, die: &[Celsius]);
 }
 
 /// A simulation starting from ambient (cold chip), stepping at the
@@ -83,6 +83,100 @@ pub(crate) fn cold_start(
     config: &PolicyConfig,
 ) -> Result<TransientSim, BoostError> {
     Ok(TransientSim::new(platform.thermal(), config.period)?)
+}
+
+/// One policy run in progress: the controller, the mapping it drives,
+/// the trace it records and the buffers every period reuses, so a
+/// control period allocates nothing.
+struct Run<'a, C: Controller> {
+    platform: &'a Platform,
+    controller: &'a mut C,
+    working: Mapping,
+    trace: PolicyTrace,
+    /// Die temperatures the last step ended at: the next period's power
+    /// is evaluated at them.
+    temps: Vec<Celsius>,
+    power: Vec<Watts>,
+    /// What `apply` returned for the period in flight.
+    frequency: Hertz,
+    gips: Gips,
+}
+
+impl<'a, C: Controller> Run<'a, C> {
+    /// Opens the run's event segment and arms `sim`'s watermark.
+    fn start(
+        platform: &'a Platform,
+        sim: &mut TransientSim,
+        mapping: &Mapping,
+        steps: usize,
+        config: &PolicyConfig,
+        controller: &'a mut C,
+    ) -> Self {
+        darksil_obs::event("boost.run", || {
+            let mut fields = vec![
+                ("policy", C::POLICY.into()),
+                ("threshold_c", config.threshold.value().into()),
+                ("period_s", config.period.value().into()),
+            ];
+            if let Some(cap) = config.power_cap {
+                fields.push(("power_cap_w", cap.value().into()));
+            }
+            fields
+        });
+        sim.set_watermark(config.threshold);
+        Self {
+            platform,
+            controller,
+            working: mapping.clone(),
+            trace: PolicyTrace::starting_at(sim.elapsed(), steps),
+            temps: sim.die_temperatures().collect(),
+            power: vec![Watts::zero(); mapping.core_count()],
+            frequency: Hertz::zero(),
+            gips: Gips::zero(),
+        }
+    }
+
+    /// Writes this period's levels and the leakage-coupled power at the
+    /// current die temperatures into the power buffer.
+    fn apply(&mut self) -> Result<(), BoostError> {
+        crate::error::check_step(C::POLICY)?;
+        (self.frequency, self.gips) = self.controller.apply(&mut self.working);
+        self.working
+            .power_map_into(self.platform, &self.temps, &mut self.power);
+        Ok(())
+    }
+
+    /// Records the step `sim` just took and lets the controller react.
+    fn record(&mut self, sim: &TransientSim) {
+        self.temps.clear();
+        self.temps.extend(sim.die_temperatures());
+        let sample = TraceSample {
+            time: sim.elapsed(),
+            frequency: self.frequency,
+            peak_temperature: sim.peak(),
+            gips: self.gips,
+            power: self.power.iter().sum(),
+        };
+        self.trace.push(sample);
+        self.controller.react(&self.working, &sample, &self.temps);
+    }
+
+    /// Closes the event segment with the totals the energy-conservation
+    /// invariant cross-checks against the integrated `thermal.step`
+    /// power samples.
+    fn finish(self) -> PolicyTrace {
+        let trace = self.trace;
+        darksil_obs::event("boost.summary", || {
+            vec![
+                ("policy", C::POLICY.into()),
+                ("energy_j", trace.total_energy().value().into()),
+                ("peak_w", trace.peak_power().value().into()),
+                ("peak_c", trace.peak_temperature().value().into()),
+                ("samples", (trace.len() as u64).into()),
+            ]
+        });
+        trace
+    }
 }
 
 /// Runs `controller` over `mapping` for `steps` control periods,
@@ -96,48 +190,39 @@ pub(crate) fn simulate<C: Controller>(
     config: &PolicyConfig,
     controller: &mut C,
 ) -> Result<PolicyTrace, BoostError> {
-    darksil_obs::event("boost.run", || {
-        let mut fields = vec![
-            ("policy", C::POLICY.into()),
-            ("threshold_c", config.threshold.value().into()),
-            ("period_s", config.period.value().into()),
-        ];
-        if let Some(cap) = config.power_cap {
-            fields.push(("power_cap_w", cap.value().into()));
-        }
-        fields
-    });
-    sim.set_watermark(config.threshold);
-    let mut working = mapping.clone();
-    let mut trace = PolicyTrace::starting_at(sim.elapsed());
+    let mut run = Run::start(platform, sim, mapping, steps, config, controller);
     for _ in 0..steps {
-        crate::error::check_step(C::POLICY)?;
-        let (frequency, gips) = controller.apply(&mut working);
-        // Power from current per-core temperatures (leakage coupling).
-        let temps: Vec<Celsius> = sim.snapshot().die_temperatures().collect();
-        let power_map = working.power_map_at(platform, &temps);
-        let power: Watts = power_map.iter().sum();
-        let map = sim.step(&power_map)?;
-        let sample = TraceSample {
-            time: sim.elapsed(),
-            frequency,
-            peak_temperature: map.peak(),
-            gips,
-            power,
-        };
-        trace.push(sample);
-        controller.react(&working, &sample, &map);
+        run.apply()?;
+        sim.advance(&run.power)?;
+        run.record(sim);
     }
-    // The totals the energy-conservation invariant cross-checks against
-    // the integrated `thermal.step` power samples.
-    darksil_obs::event("boost.summary", || {
-        vec![
-            ("policy", C::POLICY.into()),
-            ("energy_j", trace.total_energy().value().into()),
-            ("peak_w", trace.peak_power().value().into()),
-            ("peak_c", trace.peak_temperature().value().into()),
-            ("samples", (trace.len() as u64).into()),
-        ]
-    });
-    Ok(trace)
+    Ok(run.finish())
+}
+
+/// Runs two controllers from a cold chip in lockstep, each over its own
+/// mapping, for `steps` control periods: every period both apply, both
+/// simulations advance through one two-lane substitution, and both
+/// record and react. Each trace equals what [`simulate`] gives for its
+/// controller alone. Event segments would interleave, so callers take
+/// this path only while events are off.
+pub(crate) fn simulate_pair<A: Controller, B: Controller>(
+    platform: &Platform,
+    mappings: [&Mapping; 2],
+    steps: usize,
+    config: &PolicyConfig,
+    first: &mut A,
+    second: &mut B,
+) -> Result<(PolicyTrace, PolicyTrace), BoostError> {
+    let mut sim_a = cold_start(platform, config)?;
+    let mut sim_b = cold_start(platform, config)?;
+    let mut a = Run::start(platform, &mut sim_a, mappings[0], steps, config, first);
+    let mut b = Run::start(platform, &mut sim_b, mappings[1], steps, config, second);
+    for _ in 0..steps {
+        a.apply()?;
+        b.apply()?;
+        sim_a.advance_pair(&mut sim_b, &a.power, &b.power)?;
+        a.record(&sim_a);
+        b.record(&sim_b);
+    }
+    Ok((a.finish(), b.finish()))
 }

@@ -18,7 +18,6 @@
 //! DVFS domains only pay off with finer thermal domains.
 
 use darksil_mapping::{Mapping, Platform};
-use darksil_thermal::ThermalMap;
 use darksil_units::{Celsius, Gips, Hertz, Seconds};
 
 use crate::kernel::{cold_start, simulate, Controller};
@@ -53,7 +52,7 @@ impl Controller for PerInstance<'_> {
         )
     }
 
-    fn react(&mut self, working: &Mapping, sample: &TraceSample, map: &ThermalMap) {
+    fn react(&mut self, working: &Mapping, sample: &TraceSample, die: &[Celsius]) {
         // Each instance reacts to *its own* hottest core; the shared
         // power cap throttles everyone.
         let dvfs = self.platform.dvfs();
@@ -62,7 +61,7 @@ impl Controller for PerInstance<'_> {
             let instance_peak = entry
                 .cores
                 .iter()
-                .map(|c| map.core(*c))
+                .map(|c| die[c.index()])
                 .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max);
             *idx = if instance_peak > self.config.threshold || over_cap {
                 dvfs.step_down(*idx)

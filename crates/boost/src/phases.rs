@@ -73,7 +73,7 @@ pub fn run_phased_boosting(
                 &phase.mapping,
                 steps,
                 config,
-                &mut ChipWide::new(platform, config),
+                &mut ChipWide::new(platform, config, &phase.mapping),
             )
         })
         .collect()

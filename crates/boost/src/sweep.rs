@@ -7,7 +7,7 @@ use darksil_robust::DarksilError;
 use darksil_units::{Gips, Seconds, Watts};
 use darksil_workload::{ParsecApp, Workload};
 
-use crate::{run_boosting, run_constant, PolicyConfig};
+use crate::{run_boosting_and_constant, PolicyConfig};
 
 /// One point of the Figure 12 sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,8 +59,7 @@ pub fn sweep_active_cores(
     }
     Engine::auto().try_par_map(workloads, |workload| {
         let mapping = place_patterned(platform.floorplan(), &workload, platform.max_level())?;
-        let boost = run_boosting(platform, &mapping, settle_time, config)?;
-        let constant = run_constant(platform, &mapping, settle_time, config)?;
+        let (boost, constant) = run_boosting_and_constant(platform, &mapping, settle_time, config)?;
         Ok(SweepPoint {
             active_cores: workload.total_threads(),
             boosting_gips: boost.average_gips_tail(0.5),

@@ -1,8 +1,7 @@
 //! The closed-loop boosting controller.
 
 use darksil_mapping::{Mapping, Platform};
-use darksil_thermal::ThermalMap;
-use darksil_units::{Gips, Hertz, Seconds};
+use darksil_units::{Celsius, Gips, Hertz, Seconds};
 
 use crate::kernel::{cold_start, simulate, Controller};
 use crate::{BoostError, PolicyConfig, PolicyTrace, TraceSample};
@@ -15,16 +14,32 @@ pub(crate) struct ChipWide<'a> {
     config: &'a PolicyConfig,
     /// Index of the current level in the platform's DVFS ladder.
     level: usize,
+    /// The mapping's throughput at each ladder level, computed once:
+    /// every instance runs the one chip-wide level.
+    gips: Vec<Gips>,
 }
 
 impl<'a> ChipWide<'a> {
-    /// Starts at the nominal maximum frequency, as a newly arrived
-    /// workload requests full speed.
-    pub(crate) fn new(platform: &'a Platform, config: &'a PolicyConfig) -> Self {
+    /// Starts `mapping` at the nominal maximum frequency, as a newly
+    /// arrived workload requests full speed.
+    pub(crate) fn new(platform: &'a Platform, config: &'a PolicyConfig, mapping: &Mapping) -> Self {
+        let mut probe = mapping.clone();
+        let gips = platform
+            .dvfs()
+            .levels()
+            .iter()
+            .map(|&level| {
+                for entry in probe.entries_mut() {
+                    entry.level = level;
+                }
+                probe.total_gips(platform)
+            })
+            .collect();
         Self {
             platform,
             config,
             level: nominal_max_index(platform),
+            gips,
         }
     }
 }
@@ -37,10 +52,10 @@ impl Controller for ChipWide<'_> {
         for entry in working.entries_mut() {
             entry.level = level;
         }
-        (level.frequency, working.total_gips(self.platform))
+        (level.frequency, self.gips[self.level])
     }
 
-    fn react(&mut self, _working: &Mapping, sample: &TraceSample, _map: &ThermalMap) {
+    fn react(&mut self, _working: &Mapping, sample: &TraceSample, _die: &[Celsius]) {
         let dvfs = self.platform.dvfs();
         let peak = sample.peak_temperature;
         let over_cap = self.config.power_cap.is_some_and(|cap| sample.power > cap);
@@ -109,7 +124,7 @@ pub fn run_boosting(
         mapping,
         steps,
         config,
-        &mut ChipWide::new(platform, config),
+        &mut ChipWide::new(platform, config, mapping),
     )
 }
 

@@ -99,13 +99,59 @@ fn bench_factor_vs_cg(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("factor_once", label), &a, |bench, a| {
             bench.iter(|| {
                 let factors = factor_spd(black_box(a)).expect("grid factors");
-                let xs = factors.solve_many(black_box(&loads)).expect("batch solves");
-                black_box(xs)
+                for b in &loads {
+                    black_box(factors.solve(black_box(b)).expect("factored solve"));
+                }
             });
         });
     }
     g.finish();
 }
 
-criterion_group!(benches, bench_solve_spd, bench_factor_vs_cg);
+/// A factored solve per right-hand side, as a steady-state solve pays
+/// it ("solve": permute, one-lane substitution, un-permute), against
+/// the two-lane in-place kernel a paired transient step uses
+/// ("substitute_2", timed per pair of right-hand sides).
+fn bench_factored_solve(c: &mut Criterion) {
+    let mut g = c.benchmark_group("factored_solve");
+    g.warm_up_time(Duration::from_millis(300));
+    g.measurement_time(Duration::from_secs(2));
+
+    for (label, w, h) in [
+        ("small_8x8", 8, 8),
+        ("medium_20x20", 20, 20),
+        ("large_40x40", 40, 40),
+    ] {
+        let a = grid_laplacian(w, h);
+        let factors = factor_spd(&a).expect("grid factors");
+        let b: Vec<f64> = (0..w * h).map(|i| 40.0 + (i % 17) as f64).collect();
+        g.bench_with_input(BenchmarkId::new("solve", label), &b, |bench, b| {
+            bench.iter(|| black_box(factors.solve(black_box(b)).expect("factored solve")));
+        });
+        let pair: Vec<f64> = factors
+            .permutation()
+            .iter()
+            .flat_map(|&p| [b[p], b[p] + 1.0])
+            .collect();
+        let mut x = pair.clone();
+        g.bench_with_input(
+            BenchmarkId::new("substitute_2", label),
+            &pair,
+            |bench, pair| {
+                bench.iter(|| {
+                    x.copy_from_slice(pair);
+                    factors.substitute::<2>(black_box(&mut x));
+                });
+            },
+        );
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_solve_spd,
+    bench_factor_vs_cg,
+    bench_factored_solve
+);
 criterion_main!(benches);

@@ -9,7 +9,9 @@
 //!   and a symbolic analysis **once**, producing reusable
 //!   [`SpdFactors`]; every subsequent [`SpdFactors::solve`] is a sparse
 //!   forward/diagonal/backward substitution — no iteration at all.
-//! * [`SpdFactors::solve_many`] batches multi-RHS solves.
+//! * [`SpdFactors::substitute`] is that substitution in place, for one
+//!   right-hand side or two interleaved ones: a two-state backward-Euler
+//!   step streams the factor once for both states.
 //! * [`FactorCache`] keys factors by a content digest of the matrix —
 //!   the same discipline as the engine's content-addressed result cache
 //!   — bounded and thread-safe, so concurrent engine jobs solving on the
@@ -121,7 +123,7 @@ fn min_degree_order(a: &CsrMatrix) -> Vec<usize> {
 ///
 /// Produced by [`factor_spd`]. The fill-reducing ordering and symbolic
 /// analysis are done once at construction; [`SpdFactors::solve`] and
-/// [`SpdFactors::solve_many`] are pure substitutions.
+/// [`SpdFactors::substitute`] are pure substitutions.
 #[derive(Debug, Clone)]
 pub struct SpdFactors {
     n: usize,
@@ -168,8 +170,15 @@ impl SpdFactors {
         self.l_values.len()
     }
 
+    /// The fill-reducing ordering, `perm[new] = old`: entry `k` of a
+    /// vector in factor order is node `perm[k]` of the original system.
+    #[must_use]
+    pub fn permutation(&self) -> &[usize] {
+        &self.perm
+    }
+
     /// Solves `A·x = b` by permuted forward/diagonal/backward
-    /// substitution.
+    /// substitution: the one-lane form of [`SpdFactors::substitute`].
     ///
     /// # Errors
     ///
@@ -181,83 +190,142 @@ impl SpdFactors {
                 context: format!("rhs has {} rows, matrix has {}", b.len(), self.n),
             });
         }
-        let n = self.n;
-        let s = self.dense_start;
         let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
-        // L·y = P·b (unit diagonal): indexed columns, then the packed
-        // dense tail.
-        for j in 0..s {
-            let xj = x[j];
-            if xj != 0.0 {
-                let (lo, hi) = (self.l_colptr[j], self.l_colptr[j + 1]);
-                for (&r, &v) in self.l_rowidx[lo..hi].iter().zip(&self.l_values[lo..hi]) {
-                    x[r as usize] -= v * xj;
-                }
-            }
-        }
-        let mut off = 0;
-        for j in s..n {
-            let xj = x[j];
-            let col = &self.dense_cols[off..off + (n - 1 - j)];
-            off += n - 1 - j;
-            if xj != 0.0 {
-                for (xi, &v) in x[j + 1..].iter_mut().zip(col) {
-                    *xi -= v * xj;
-                }
-            }
-        }
-        // D·z = y.
-        for (xi, di) in x.iter_mut().zip(&self.d_inv) {
-            *xi *= di;
-        }
-        // Lᵀ·w = z: dense tail first (reverse order), then the indexed
-        // columns.
-        for j in (s..n).rev() {
-            off -= n - 1 - j;
-            let col = &self.dense_cols[off..off + (n - 1 - j)];
-            let xs = &x[j + 1..];
-            // Four independent accumulators break the FMA latency chain
-            // of a sequential dot product.
-            let mut acc = [0.0_f64; 4];
-            let mut xc = xs.chunks_exact(4);
-            let mut vc = col.chunks_exact(4);
-            for (xk, vk) in (&mut xc).zip(&mut vc) {
-                acc[0] += vk[0] * xk[0];
-                acc[1] += vk[1] * xk[1];
-                acc[2] += vk[2] * xk[2];
-                acc[3] += vk[3] * xk[3];
-            }
-            let mut rest = 0.0;
-            for (&xi, &v) in xc.remainder().iter().zip(vc.remainder()) {
-                rest += v * xi;
-            }
-            x[j] -= acc[0] + acc[1] + acc[2] + acc[3] + rest;
-        }
-        for j in (0..s).rev() {
-            let (lo, hi) = (self.l_colptr[j], self.l_colptr[j + 1]);
-            let mut xj = x[j];
-            for (&r, &v) in self.l_rowidx[lo..hi].iter().zip(&self.l_values[lo..hi]) {
-                xj -= v * x[r as usize];
-            }
-            x[j] = xj;
-        }
-        // Undo the permutation.
-        let mut out = vec![0.0; n];
+        self.substitute::<1>(&mut x);
+        let mut out = vec![0.0; self.n];
         for (k, &p) in self.perm.iter().enumerate() {
             out[p] = x[k];
         }
         Ok(out)
     }
 
-    /// Solves one factored system for many right-hand sides — the
-    /// batched form of [`SpdFactors::solve`].
+    /// Solves `A·x = b` in place for `L` right-hand sides at once: the
+    /// substitution kernel behind every factored solve and step.
     ///
-    /// # Errors
+    /// `x` holds the right-hand sides in factor order (see
+    /// [`SpdFactors::permutation`]), interleaved per node: entry
+    /// `k·L + lane` is lane `lane` of permuted node `k`. On return it
+    /// holds the solutions in the same layout. Each lane sees exactly
+    /// the operations, in exactly the order, of a one-lane solve —
+    /// including the skip of a column whose forward value is exactly
+    /// zero, decided per lane — so every lane's result is bit-identical
+    /// to [`SpdFactors::solve`] on its own. Two lanes share every load of
+    /// `L` and every index, which is what makes a two-state step cheaper
+    /// than two one-state steps.
     ///
-    /// Returns [`NumericsError::DimensionMismatch`] if any right-hand
-    /// side has the wrong length.
-    pub fn solve_many<B: AsRef<[f64]>>(&self, rhs: &[B]) -> Result<Vec<Vec<f64>>, NumericsError> {
-        rhs.iter().map(|b| self.solve(b.as_ref())).collect()
+    /// # Panics
+    ///
+    /// Panics if `L` is zero or `x.len() != L · dimension`.
+    pub fn substitute<const L: usize>(&self, x: &mut [f64]) {
+        assert!(L > 0, "substitution needs at least one lane");
+        assert_eq!(x.len(), self.n * L, "substitution vector length");
+        let (x, _) = x.as_chunks_mut::<L>();
+        let n = self.n;
+        let s = self.dense_start;
+        // The invariant the unchecked indexing below rests on, which
+        // `factor_spd` establishes: `l_colptr` is monotone from 0 up to
+        // nnz(L), and every stored row index is below n = x.len().
+        debug_assert!(self.l_colptr.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert_eq!(self.l_colptr[n], self.l_rowidx.len());
+        debug_assert!(self.l_rowidx.iter().all(|&r| (r as usize) < n));
+        // L·y = P·b (unit diagonal): indexed columns, then the packed
+        // dense tail. A lane whose value at column j is exactly zero
+        // skips the column.
+        for j in 0..s {
+            let xj = x[j];
+            let live = xj.map(|v| v != 0.0);
+            if live == [false; L] {
+                continue;
+            }
+            let (lo, hi) = (self.l_colptr[j], self.l_colptr[j + 1]);
+            let col = self.l_rowidx[lo..hi].iter().zip(&self.l_values[lo..hi]);
+            if live == [true; L] {
+                for (&r, &v) in col {
+                    // SAFETY: r < n = x.len() (invariant above).
+                    let xr = unsafe { x.get_unchecked_mut(r as usize) };
+                    for k in 0..L {
+                        xr[k] -= v * xj[k];
+                    }
+                }
+            } else {
+                for k in (0..L).filter(|&k| live[k]) {
+                    for (&r, &v) in col.clone() {
+                        // SAFETY: r < n = x.len() (invariant above).
+                        unsafe { x.get_unchecked_mut(r as usize)[k] -= v * xj[k] };
+                    }
+                }
+            }
+        }
+        let mut off = 0;
+        for j in s..n {
+            let xj = x[j];
+            let live = xj.map(|v| v != 0.0);
+            let col = &self.dense_cols[off..off + (n - 1 - j)];
+            off += n - 1 - j;
+            if live == [false; L] {
+                continue;
+            }
+            let below = &mut x[j + 1..];
+            if live == [true; L] {
+                for (xi, &v) in below.iter_mut().zip(col) {
+                    for k in 0..L {
+                        xi[k] -= v * xj[k];
+                    }
+                }
+            } else {
+                for k in (0..L).filter(|&k| live[k]) {
+                    for (xi, &v) in below.iter_mut().zip(col) {
+                        xi[k] -= v * xj[k];
+                    }
+                }
+            }
+        }
+        // D·z = y.
+        for (xi, &di) in x.iter_mut().zip(&self.d_inv) {
+            for xik in xi {
+                *xik *= di;
+            }
+        }
+        // Lᵀ·w = z: dense tail first (reverse order), then the indexed
+        // columns.
+        for j in (s..n).rev() {
+            off -= n - 1 - j;
+            let col = &self.dense_cols[off..off + (n - 1 - j)];
+            let (head, xs) = x.split_at_mut(j + 1);
+            // Four independent accumulators per lane break the FMA
+            // latency chain of a sequential dot product.
+            let mut acc = [[0.0_f64; L]; 4];
+            let mut xc = xs.chunks_exact(4);
+            let mut vc = col.chunks_exact(4);
+            for (xq, vq) in (&mut xc).zip(&mut vc) {
+                for q in 0..4 {
+                    for k in 0..L {
+                        acc[q][k] += vq[q] * xq[q][k];
+                    }
+                }
+            }
+            let mut rest = [0.0_f64; L];
+            for (xi, &v) in xc.remainder().iter().zip(vc.remainder()) {
+                for k in 0..L {
+                    rest[k] += v * xi[k];
+                }
+            }
+            for k in 0..L {
+                head[j][k] -= acc[0][k] + acc[1][k] + acc[2][k] + acc[3][k] + rest[k];
+            }
+        }
+        for j in (0..s).rev() {
+            let (lo, hi) = (self.l_colptr[j], self.l_colptr[j + 1]);
+            let mut xj = x[j];
+            for (&r, &v) in self.l_rowidx[lo..hi].iter().zip(&self.l_values[lo..hi]) {
+                // SAFETY: r < n = x.len() (invariant above).
+                let xr = unsafe { x.get_unchecked(r as usize) };
+                for k in 0..L {
+                    xj[k] -= v * xr[k];
+                }
+            }
+            x[j] = xj;
+        }
     }
 
     /// Chooses the dense trailing block and packs its columns from the
@@ -367,7 +435,7 @@ impl SpdFactors {
 /// analysis, then the numeric factorisation.
 ///
 /// The result is reusable: solve any number of right-hand sides with
-/// [`SpdFactors::solve`] / [`SpdFactors::solve_many`] without repeating
+/// [`SpdFactors::solve`] / [`SpdFactors::substitute`] without repeating
 /// the factorisation.
 ///
 /// # Errors
@@ -746,15 +814,15 @@ mod tests {
     }
 
     #[test]
-    fn solve_many_matches_individual_solves() {
-        let a = grid_laplacian(5, 4);
-        let f = factor_spd(&a).expect("grid is SPD");
-        let rhss: Vec<Vec<f64>> = (0..4)
-            .map(|k| (0..20).map(|i| ((i + k) % 3) as f64).collect())
-            .collect();
-        let batch = f.solve_many(&rhss).expect("batch solves");
-        for (b, x) in rhss.iter().zip(&batch) {
-            assert_eq!(x, &f.solve(b).expect("solve succeeds"));
+    fn grid_factors_end_in_a_dense_tail() {
+        // The tail is chosen from the sparsity pattern alone, so every
+        // RC grid of these shapes, whatever its conductances, exercises
+        // the packed dense block of the substitution.
+        for w in 6..12 {
+            for h in 6..12 {
+                let f = factor_spd(&grid_laplacian(w, h)).expect("grid is SPD");
+                assert!(f.dense_start < w * h, "{w}×{h} grid has no dense tail");
+            }
         }
     }
 

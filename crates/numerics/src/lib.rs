@@ -13,10 +13,24 @@
 //! a leakage fixed point, or a placement-optimisation loop only the
 //! power right-hand side changes. [`factor_spd`] pays for a
 //! fill-reducing ordering and symbolic analysis **once**, returning
-//! reusable [`SpdFactors`] whose [`solve`](SpdFactors::solve) /
-//! [`solve_many`](SpdFactors::solve_many) are pure sparse
-//! substitutions. [`FactorCache`] keys factors by content digest
+//! reusable [`SpdFactors`] whose [`solve`](SpdFactors::solve) is a pure
+//! sparse substitution. [`FactorCache`] keys factors by content digest
 //! (bounded, thread-safe).
+//!
+//! # One substitution kernel, one or two lanes
+//!
+//! [`SpdFactors::substitute`] is the kernel behind every factored solve:
+//! it works in place on a vector already in the factor's permuted order,
+//! for one right-hand side or for two interleaved per node. Every lane
+//! performs exactly the operations, in exactly the order, of a one-lane
+//! solve, so each result is bit-identical however it was computed.
+//! [`solve`](SpdFactors::solve) is the one-lane form. The backward-Euler
+//! stepper ([`ode::BackwardEuler`]) fuses the permutation into building
+//! its right-hand side and writing the state back, reuses its work
+//! buffer across steps, and steps two states sharing one matrix through
+//! the two-lane form ([`ode::BackwardEuler::step_pair`]): both states
+//! then share every load of the factor, which is what a substitution
+//! bound by memory latency rather than arithmetic is short of.
 //!
 //! # One solve that can fall back
 //!
@@ -56,13 +70,11 @@
 //! let factors = factor_spd(&g)?;
 //!
 //! // Every subsequent right-hand side is a cheap substitution.
-//! let loads: Vec<Vec<f64>> = (0..4)
-//!     .map(|k| (0..n).map(|i| ((i + k) % 3) as f64).collect())
-//!     .collect();
-//! let temps = factors.solve_many(&loads)?;
-//! for (b, x) in loads.iter().zip(&temps) {
-//!     let r = g.mul_vec(x);
-//!     assert!(r.iter().zip(b).all(|(ri, bi)| (ri - bi).abs() < 1e-9));
+//! for k in 0..4 {
+//!     let b: Vec<f64> = (0..n).map(|i| ((i + k) % 3) as f64).collect();
+//!     let x = factors.solve(&b)?;
+//!     let r = g.mul_vec(&x);
+//!     assert!(r.iter().zip(&b).all(|(ri, bi)| (ri - bi).abs() < 1e-9));
 //! }
 //! # Ok::<(), darksil_numerics::NumericsError>(())
 //! ```

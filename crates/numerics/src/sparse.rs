@@ -167,6 +167,54 @@ impl CsrMatrix {
         }
     }
 
+    /// `A + diag(d)` of a square matrix, entry for entry what assembling
+    /// both through a [`TripletMatrix`] gives: exact zeros on either side
+    /// are dropped, a diagonal slot present on both sides holds the sum
+    /// of its two terms, and one present on a single side is kept or
+    /// inserted in column order.
+    pub(crate) fn plus_diagonal(&self, d: &[f64]) -> Self {
+        debug_assert_eq!(d.len(), self.rows);
+        debug_assert_eq!(self.rows, self.cols);
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        let mut col_idx = Vec::with_capacity(self.col_idx.len() + self.rows);
+        let mut values = Vec::with_capacity(self.col_idx.len() + self.rows);
+        row_ptr.push(0);
+        for (i, &di) in d.iter().enumerate() {
+            let mut pending = (di != 0.0).then_some(di);
+            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
+                let (c, v) = (self.col_idx[k], self.values[k]);
+                if v == 0.0 {
+                    continue;
+                }
+                if c == i {
+                    col_idx.push(c);
+                    values.push(pending.take().map_or(v, |di| v + di));
+                    continue;
+                }
+                if c > i {
+                    if let Some(di) = pending.take() {
+                        col_idx.push(i);
+                        values.push(di);
+                    }
+                }
+                col_idx.push(c);
+                values.push(v);
+            }
+            if let Some(di) = pending {
+                col_idx.push(i);
+                values.push(di);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Matrix–vector product `A·x`.
     ///
     /// # Panics

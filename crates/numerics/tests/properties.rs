@@ -151,9 +151,10 @@ proptest! {
         let mut t = TripletMatrix::new(1, 1);
         t.stamp_to_reference(0, g);
         let sys = LinearOde::new(t.to_csr(), vec![cap]).unwrap();
-        let stepper = sys.backward_euler(dt).unwrap();
+        let mut stepper = sys.backward_euler(dt).unwrap();
         let x_star = p / g;
-        let next = stepper.step(&[x_star], &[p]).unwrap();
+        let mut next = [x_star];
+        stepper.step(&mut next, &[p]).unwrap();
         prop_assert!((next[0] - x_star).abs() < 1e-8 * (1.0 + x_star));
     }
 }

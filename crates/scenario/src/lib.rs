@@ -23,7 +23,7 @@
 //! re-exports everything here.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use darksil_boost::{run_boosting, run_constant, PolicyConfig};
+use darksil_boost::{run_boosting_and_constant, PolicyConfig};
 use darksil_json::{Json, JsonError, ObjReader, ToJson};
 use darksil_mapping::{place_contiguous, DsRem, Platform, TdpMap};
 use darksil_power::{TechnologyNode, VariationModel};
@@ -610,8 +610,9 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError
                 ..PolicyConfig::default()
             };
             let horizon = Seconds::new(*duration_s);
-            let boost = run_boosting(&platform, &mapping, horizon, &config).map_err(run_err)?;
-            let constant = run_constant(&platform, &mapping, horizon, &config).map_err(run_err)?;
+            let (boost, constant) =
+                run_boosting_and_constant(&platform, &mapping, horizon, &config)
+                    .map_err(run_err)?;
             Ok(ScenarioReport {
                 name: scenario.name.clone(),
                 active_cores: mapping.active_core_count(),

@@ -57,11 +57,7 @@ impl ThermalMap {
     /// Hottest die cell — the quantity compared against `T_DTM`.
     #[must_use]
     pub fn peak(&self) -> Celsius {
-        self.die
-            .iter()
-            .fold(Celsius::new(f64::NEG_INFINITY), |acc, &t| {
-                acc.max(Celsius::new(t))
-            })
+        peak_of(&self.die)
     }
 
     /// Mean die temperature (per-core, unweighted).
@@ -108,6 +104,13 @@ impl ThermalMap {
     pub fn grid_shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
+}
+
+/// The hottest of a set of die temperatures (°C).
+pub(crate) fn peak_of(die: &[f64]) -> Celsius {
+    die.iter().fold(Celsius::new(f64::NEG_INFINITY), |acc, &t| {
+        acc.max(Celsius::new(t))
+    })
 }
 
 #[cfg(test)]

@@ -345,19 +345,20 @@ impl ThermalModel {
         if self.subdivision == 1 {
             return ThermalMap::from_state(state, self.cores, self.rows, self.cols);
         }
-        let die = Self::project_die(&self.core_of_cell, self.cores, &state);
+        let mut die = vec![f64::NEG_INFINITY; self.cores];
+        Self::project_die(&self.core_of_cell, &state, &mut die);
         ThermalMap::from_parts(die, state, self.rows, self.cols)
     }
 
-    /// Per-core die temperatures as the maximum over each core's cells.
-    pub(crate) fn project_die(core_of_cell: &[usize], cores: usize, state: &[f64]) -> Vec<f64> {
-        let mut die = vec![f64::NEG_INFINITY; cores];
+    /// Writes per-core die temperatures into `die` as the maximum over
+    /// each core's cells.
+    pub(crate) fn project_die(core_of_cell: &[usize], state: &[f64], die: &mut [f64]) {
+        die.fill(f64::NEG_INFINITY);
         for (cell, &owner) in core_of_cell.iter().enumerate() {
             if state[cell] > die[owner] {
                 die[owner] = state[cell];
             }
         }
-        die
     }
 
     /// Solves the steady-state temperatures for a per-core power map.

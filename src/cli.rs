@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use darksil_boost::{run_boosting, run_constant, PolicyConfig};
+use darksil_boost::{run_boosting_and_constant, PolicyConfig};
 use darksil_core::DarkSiliconEstimator;
 use darksil_engine::Engine;
 use darksil_mapping::{place_patterned, DsRem, Platform, TdpMap};
@@ -1130,8 +1130,8 @@ pub fn run(command: &Command) -> Result<(), Box<dyn std::error::Error>> {
                 ..PolicyConfig::default()
             };
             let horizon = Seconds::new(*duration);
-            let boost = run_boosting(&platform, &mapping, horizon, &config)?;
-            let constant = run_constant(&platform, &mapping, horizon, &config)?;
+            let (boost, constant) =
+                run_boosting_and_constant(&platform, &mapping, horizon, &config)?;
             println!("{node} / {app} × {instances} instances × 8t, {duration} s simulated:");
             println!(
                 "  boosting: avg {:.0} GIPS, peak {:.1} °C, peak {:.0} W",

@@ -13,10 +13,10 @@ use darksil_arena::{
     generate_cases, load_corpus, replay, run_cases, run_single, shrink, ArenaCase, Oracle, Verdict,
 };
 use darksil_boost::{
-    run_boosting, run_constant, run_per_instance_boosting, run_phased_boosting, BoostError, Phase,
-    PolicyConfig,
+    run_boosting, run_boosting_and_constant, run_constant, run_per_instance_boosting,
+    run_phased_boosting, BoostError, Phase, PolicyConfig,
 };
-use darksil_mapping::{place_patterned, Platform};
+use darksil_mapping::{place_patterned, Mapping, Platform};
 use darksil_obs::EventStream;
 use darksil_power::TechnologyNode;
 use darksil_scenario::{parse_scenario_file, validate_scenario, Scenario};
@@ -74,14 +74,9 @@ fn shipped_scenarios_pass_the_invariant_suite() {
     }
 }
 
-/// Every public transient policy opens one oracle segment per run with
-/// the watermark armed, and its event stream passes every invariant —
-/// including a phased run's second segment, which starts after t = 0.
-#[test]
-fn every_transient_policy_passes_the_invariant_suite() {
-    let _guard = recorder_lock();
-    // The small-chip setup of the boost unit tests: 12 of 16 cores
-    // active, regulated to 60 °C, which a 16-core die can reach.
+/// The small-chip setup of the boost unit tests: 12 of 16 cores active,
+/// regulated to 60 °C, which a 16-core die can reach.
+fn small_chip() -> (Platform, Mapping, PolicyConfig) {
     let platform = Platform::with_core_count(TechnologyNode::Nm16, 16)
         .unwrap()
         .with_boost_levels(Hertz::from_ghz(4.4))
@@ -93,6 +88,16 @@ fn every_transient_policy_passes_the_invariant_suite() {
         period: Seconds::new(0.02),
         ..PolicyConfig::default()
     };
+    (platform, mapping, config)
+}
+
+/// Every public transient policy opens one oracle segment per run with
+/// the watermark armed, and its event stream passes every invariant —
+/// including a phased run's second segment, which starts after t = 0.
+#[test]
+fn every_transient_policy_passes_the_invariant_suite() {
+    let _guard = recorder_lock();
+    let (platform, mapping, config) = small_chip();
     let horizon = Seconds::new(30.0);
     // The first phase ends with the peak above the threshold, so the
     // second phase's segment only verifies if its watermark track
@@ -150,6 +155,38 @@ fn every_transient_policy_passes_the_invariant_suite() {
             );
         }
     }
+}
+
+/// Both §6 policies run together give exactly the traces of the two
+/// separate calls. With events off they step in lockstep; with events
+/// on they run one after the other, so the stream is the two calls'
+/// stream byte for byte and passes the oracle.
+#[test]
+fn boosting_and_constant_together_equal_the_two_separate_runs() {
+    let _guard = recorder_lock();
+    let (platform, mapping, config) = small_chip();
+    let horizon = Seconds::new(30.0);
+    let separate = || {
+        (
+            run_boosting(&platform, &mapping, horizon, &config).unwrap(),
+            run_constant(&platform, &mapping, horizon, &config).unwrap(),
+        )
+    };
+    assert!(!darksil_obs::events_enabled());
+    let lockstep = run_boosting_and_constant(&platform, &mapping, horizon, &config).unwrap();
+    assert_eq!(lockstep, separate());
+
+    darksil_obs::enable_events();
+    let recorded = run_boosting_and_constant(&platform, &mapping, horizon, &config);
+    let (_trace, together) = darksil_obs::drain_all();
+    darksil_obs::enable_events();
+    let reference = separate();
+    let (_trace, apart) = darksil_obs::drain_all();
+    assert_eq!(recorded.unwrap(), reference);
+    assert_eq!(together.to_jsonl(), apart.to_jsonl());
+    assert_eq!(together.of_kind("boost.run").count(), 2);
+    let violations = Oracle::default().verify(&together);
+    assert!(violations.is_empty(), "{violations:?}");
 }
 
 proptest! {
