@@ -1,8 +1,9 @@
 //! Every shipped scenario file must parse, validate, round-trip
 //! through the serializer, and run.
 
+use darksil::boost::BoostError;
 use darksil::scenario::{
-    parse_scenario, run_scenario, validate_scenario, ExperimentSpec, Scenario,
+    parse_scenario, run_scenario, validate_scenario, ExperimentSpec, Scenario, ScenarioError,
 };
 
 fn shipped_scenarios() -> Vec<(std::path::PathBuf, Scenario)> {
@@ -141,4 +142,36 @@ fn unknown_scenario_fields_are_rejected() {
             path.display()
         );
     }
+}
+
+#[test]
+fn an_endless_boost_scenario_is_cancelled_by_its_deadline() {
+    // 10¹² s at a 1 ms period passes validation; what stops it is the
+    // deadline a supervisor (a served job, say) runs it under, checked
+    // every control period. Sizing anything by its 10¹⁵ steps up front
+    // would fail the allocation and abort the process instead.
+    let scenario = parse_scenario(
+        r#"{
+          "name": "an endless turbo run",
+          "node": 16,
+          "workload": [{ "app": "x264", "instances": 3, "threads": 4 }],
+          "experiment": { "type": "boost", "duration_s": 1e12, "period_s": 0.001 }
+        }"#,
+    )
+    .unwrap();
+    let ctx = darksil_robust::RunContext::with_token(
+        darksil_robust::CancellationToken::with_deadline(std::time::Duration::ZERO),
+    );
+    let err = darksil_robust::scoped(&ctx, || run_scenario(&scenario))
+        .expect_err("an expired deadline stops the run");
+    let ScenarioError::Run(inner) = &err else {
+        panic!("not a run failure: {err}");
+    };
+    assert!(
+        matches!(
+            inner.downcast_ref::<BoostError>(),
+            Some(BoostError::Cancelled { .. })
+        ),
+        "{err}"
+    );
 }
