@@ -273,15 +273,39 @@ struct ArtefactRun {
     text: String,
 }
 
-fn main() -> ExitCode {
-    let mut args = env::args().skip(1);
+/// A parsed `repro` command line: the artefact options plus the
+/// settings `main` acts on itself.
+struct Cli {
+    options: Options,
+    /// The selected artefacts, deduplicated, in the order named.
+    selected: Vec<Runner>,
+    /// Whether `all` was named: it labels the run and prints a header
+    /// before each artefact.
+    all: bool,
+    /// `--jobs N`; `None` defers to `DARKSIL_JOBS` or the machine.
+    jobs: Option<usize>,
+    resume: bool,
+    journal_path: PathBuf,
+    profile: bool,
+    events: bool,
+}
+
+/// What a `repro` command line asks for.
+enum Invocation {
+    Help,
+    Run(Box<Cli>),
+}
+
+/// Reads `repro`'s argv (without the program name). The error is the
+/// usage message; an empty one means no artefact was named, which
+/// prints the usage alone.
+fn parse_args(args: &[String]) -> Result<Invocation, String> {
+    let mut args = args.iter();
     let Some(artefact) = args.next() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(String::new());
     };
     if artefact == "--help" || artefact == "-h" {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
+        return Ok(Invocation::Help);
     }
     let mut json_dir = None;
     let mut fidelity = Fidelity::Quick;
@@ -298,13 +322,10 @@ fn main() -> ExitCode {
     let mut requested: Vec<String> = vec![artefact.clone()];
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => return Ok(Invocation::Help),
             "--json" => match args.next() {
                 Some(dir) => json_dir = Some(PathBuf::from(dir)),
-                None => return usage_error("--json requires a directory"),
+                None => return Err("--json requires a directory".into()),
             },
             "--paper" => fidelity = Fidelity::Paper,
             "--inject" => match args.next() {
@@ -314,7 +335,7 @@ fn main() -> ExitCode {
                         None => (spec.clone(), "nan"),
                     };
                     let Some(kind) = InjectKind::parse(kind) else {
-                        return usage_error(&format!(
+                        return Err(format!(
                             "unknown inject kind {kind:?} (expected nan, hang, slow or transient)"
                         ));
                     };
@@ -323,44 +344,38 @@ fn main() -> ExitCode {
                         kind,
                     });
                 }
-                None => return usage_error("--inject requires an artefact name"),
+                None => return Err("--inject requires an artefact name".into()),
             },
             "--jobs" => match args.next().map(|n| n.parse::<usize>()) {
                 Some(Ok(n)) if n >= 1 => jobs_flag = Some(n),
-                _ => return usage_error("--jobs requires a positive integer"),
+                _ => return Err("--jobs requires a positive integer".into()),
             },
             "--no-cache" => use_cache = false,
             "--cache-dir" => match args.next() {
                 Some(dir) => cache_dir = PathBuf::from(dir),
-                None => return usage_error("--cache-dir requires a directory"),
+                None => return Err("--cache-dir requires a directory".into()),
             },
             "--deadline" => match args.next().map(|n| n.parse::<f64>()) {
                 Some(Ok(secs)) if secs > 0.0 && secs.is_finite() => {
                     deadline_override = Some(Duration::from_secs_f64(secs));
                 }
-                _ => return usage_error("--deadline requires a positive number of seconds"),
+                _ => return Err("--deadline requires a positive number of seconds".into()),
             },
             "--retries" => match args.next().map(|n| n.parse::<u32>()) {
                 Some(Ok(n)) => retries = n,
-                _ => return usage_error("--retries requires a non-negative integer"),
+                _ => return Err("--retries requires a non-negative integer".into()),
             },
             "--resume" => resume = true,
             "--journal" => match args.next() {
                 Some(path) => journal_path = PathBuf::from(path),
-                None => return usage_error("--journal requires a file path"),
+                None => return Err("--journal requires a file path".into()),
             },
             "--profile" => profile = true,
             "--events" => events = true,
             other if !other.starts_with('-') => requested.push(other.to_string()),
-            other => return usage_error(&format!("unknown flag {other}")),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    let jobs = jobs_flag
-        .unwrap_or_else(darksil_engine::default_jobs)
-        .max(1);
-    // Nested engine fan-outs (inside the figures) follow the same
-    // setting as the artefact-level pool.
-    darksil_engine::set_default_jobs(jobs);
     let options = Options {
         json_dir,
         fidelity,
@@ -370,9 +385,10 @@ fn main() -> ExitCode {
         retries,
     };
 
-    let selected: Vec<Runner> = if requested.iter().any(|name| name == "all") {
+    let all = requested.iter().any(|name| name == "all");
+    let selected: Vec<Runner> = if all {
         if requested.len() > 1 {
-            return usage_error("`all` cannot be combined with artefact names");
+            return Err("`all` cannot be combined with artefact names".into());
         }
         RUNNERS.to_vec()
     } else {
@@ -383,15 +399,51 @@ fn main() -> ExitCode {
                     picked.push(*runner);
                 }
                 Some(_) => {}
-                None => return usage_error(&format!("unknown artefact {name}")),
+                None => return Err(format!("unknown artefact {name}")),
             }
         }
         picked
     };
+    Ok(Invocation::Run(Box::new(Cli {
+        options,
+        selected,
+        all,
+        jobs: jobs_flag,
+        resume,
+        journal_path,
+        profile,
+        events,
+    })))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = env::args().skip(1).collect();
+    let Cli {
+        options,
+        selected,
+        all,
+        jobs,
+        resume,
+        journal_path,
+        profile,
+        events,
+    } = match parse_args(&args) {
+        Ok(Invocation::Help) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Ok(Invocation::Run(cli)) => *cli,
+        Err(message) => return usage_error(&message),
+    };
+    let jobs = jobs.unwrap_or_else(darksil_engine::default_jobs).max(1);
+    // Nested engine fan-outs (inside the figures) follow the same
+    // setting as the artefact-level pool.
+    darksil_engine::set_default_jobs(jobs);
+
     let names: Vec<&'static str> = selected.iter().map(|(name, _)| *name).collect();
     // Stable label for the journal fingerprint and the profile reports:
     // `all`, a single name, or the deduplicated names joined with `+`.
-    let selection_label = if artefact == "all" {
+    let selection_label = if all {
         "all".to_string()
     } else {
         names.join("+")
@@ -451,7 +503,7 @@ fn main() -> ExitCode {
     let total_seconds = started.elapsed().as_secs_f64();
     drop(root_span);
 
-    let show_headers = artefact == "all";
+    let show_headers = all;
     let mut outcomes: Vec<ArtefactOutcome> = Vec::with_capacity(runs.len());
     for (name, run) in names.into_iter().zip(runs) {
         // The engine's own panic isolation is a backstop; `run_artefact`
@@ -537,9 +589,14 @@ fn main() -> ExitCode {
     }
 }
 
-/// Prints a usage diagnostic and returns the usage exit code.
+/// Prints a usage diagnostic (the usage alone for an empty message)
+/// and returns the usage exit code.
 fn usage_error(message: &str) -> ExitCode {
-    eprintln!("repro: {message}\n\n{USAGE}");
+    if message.is_empty() {
+        eprintln!("{USAGE}");
+    } else {
+        eprintln!("repro: {message}\n\n{USAGE}");
+    }
     ExitCode::from(EXIT_USAGE)
 }
 
@@ -1471,4 +1528,209 @@ fn fig14(_options: &Options, out: &mut String) -> Result<Json, Box<dyn std::erro
         stc2.value() / 1e3
     )?;
     Ok(rows.to_json())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_string).collect()
+    }
+
+    fn cli(line: &str) -> Cli {
+        match parse_args(&argv(line)) {
+            Ok(Invocation::Run(cli)) => *cli,
+            Ok(Invocation::Help) => panic!("{line}: parsed as --help"),
+            Err(e) => panic!("{line}: {e}"),
+        }
+    }
+
+    fn names(cli: &Cli) -> Vec<&'static str> {
+        cli.selected.iter().map(|(name, _)| *name).collect()
+    }
+
+    /// Every field a command line sets, on one line.
+    fn describe(cli: &Cli) -> String {
+        let o = &cli.options;
+        format!(
+            "{} json={:?} {} inject={:?} cache={:?} deadline={:?} retries={} jobs={:?} \
+             resume={} journal={} profile={} events={}",
+            if cli.all {
+                "all".to_string()
+            } else {
+                names(cli).join("+")
+            },
+            o.json_dir,
+            fidelity_label(o.fidelity),
+            o.inject
+                .as_ref()
+                .map(|i| format!("{}:{}", i.artefact, i.kind.label())),
+            o.cache.as_ref().map(ResultCache::dir),
+            o.deadline_override,
+            o.retries,
+            cli.jobs,
+            cli.resume,
+            cli.journal_path.display(),
+            cli.profile,
+            cli.events,
+        )
+    }
+
+    /// One argv per usage error `parse_args` can report, with its exact
+    /// message.
+    const USAGE_ERRORS: &[(&str, &str)] = &[
+        ("fig2 --json", "--json requires a directory"),
+        ("fig2 --inject", "--inject requires an artefact name"),
+        (
+            "fig2 --inject fig2:frob",
+            "unknown inject kind \"frob\" (expected nan, hang, slow or transient)",
+        ),
+        ("fig2 --jobs", "--jobs requires a positive integer"),
+        ("fig2 --jobs x", "--jobs requires a positive integer"),
+        ("fig2 --jobs 0", "--jobs requires a positive integer"),
+        ("fig2 --cache-dir", "--cache-dir requires a directory"),
+        (
+            "fig2 --deadline",
+            "--deadline requires a positive number of seconds",
+        ),
+        (
+            "fig2 --deadline x",
+            "--deadline requires a positive number of seconds",
+        ),
+        (
+            "fig2 --deadline 0",
+            "--deadline requires a positive number of seconds",
+        ),
+        (
+            "fig2 --retries",
+            "--retries requires a non-negative integer",
+        ),
+        (
+            "fig2 --retries -1",
+            "--retries requires a non-negative integer",
+        ),
+        ("fig2 --journal", "--journal requires a file path"),
+        ("fig2 --bogus", "unknown flag --bogus"),
+        ("all fig2", "`all` cannot be combined with artefact names"),
+        ("fig2 frob", "unknown artefact frob"),
+    ];
+
+    #[test]
+    fn every_usage_error_has_its_message() {
+        for (line, message) in USAGE_ERRORS {
+            match parse_args(&argv(line)) {
+                Err(e) => assert_eq!(e.to_string(), *message, "{line}"),
+                Ok(_) => panic!("{line}: accepted"),
+            }
+        }
+        // No artefact at all prints the usage alone.
+        assert!(matches!(parse_args(&[]), Err(e) if e.to_string().is_empty()));
+    }
+
+    #[test]
+    fn help_is_honoured_anywhere() {
+        for line in ["--help", "-h", "fig2 --help", "fig2 --json out -h"] {
+            assert!(
+                matches!(parse_args(&argv(line)), Ok(Invocation::Help)),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn all_stands_alone_and_names_deduplicate_in_order() {
+        let every = cli("all");
+        assert!(every.all);
+        assert_eq!(names(&every), RUNNERS.map(|(name, _)| name));
+        let some = cli("fig8 table1 fig8 fig2 table1");
+        assert!(!some.all);
+        assert_eq!(names(&some), ["fig8", "table1", "fig2"]);
+        assert!(parse_args(&argv("fig2 all")).is_err());
+        assert!(parse_args(&argv("all all")).is_err());
+    }
+
+    /// Every `repro` command line in `.github/workflows/ci.yml` and what
+    /// it parses to.
+    const CI_LINES: &[(&str, &str)] = &[
+        (
+            "table1 --json out",
+            "table1 json=Some(\"out\") quick inject=None cache=Some(\"results/.cache\") deadline=None retries=2 jobs=None resume=false journal=results/run_journal.json profile=false events=false",
+        ),
+        (
+            "fig2 --json faulty --inject fig2",
+            "fig2 json=Some(\"faulty\") quick inject=Some(\"fig2:nan\") cache=Some(\"results/.cache\") deadline=None retries=2 jobs=None resume=false journal=results/run_journal.json profile=false events=false",
+        ),
+        (
+            "table1 fig2 fig8 --events --json out-ev",
+            "table1+fig2+fig8 json=Some(\"out-ev\") quick inject=None cache=Some(\"results/.cache\") deadline=None retries=2 jobs=None resume=false journal=results/run_journal.json profile=false events=true",
+        ),
+        (
+            "all --json fresh",
+            "all json=Some(\"fresh\") quick inject=None cache=Some(\"results/.cache\") deadline=None retries=2 jobs=None resume=false journal=results/run_journal.json profile=false events=false",
+        ),
+        (
+            "fig11 fig12 fig13 --paper --no-cache --jobs 2 --json paper",
+            "fig11+fig12+fig13 json=Some(\"paper\") paper inject=None cache=None deadline=None retries=2 jobs=Some(2) resume=false journal=results/run_journal.json profile=false events=false",
+        ),
+        (
+            "all --events --json out-j1 --jobs 1 --cache-dir cache-j1",
+            "all json=Some(\"out-j1\") quick inject=None cache=Some(\"cache-j1\") deadline=None retries=2 jobs=Some(1) resume=false journal=results/run_journal.json profile=false events=true",
+        ),
+        (
+            "all --events --json out-j4 --jobs 4 --cache-dir cache-j4",
+            "all json=Some(\"out-j4\") quick inject=None cache=Some(\"cache-j4\") deadline=None retries=2 jobs=Some(4) resume=false journal=results/run_journal.json profile=false events=true",
+        ),
+        (
+            "all --json out-warm --jobs 4 --cache-dir cache-j4",
+            "all json=Some(\"out-warm\") quick inject=None cache=Some(\"cache-j4\") deadline=None retries=2 jobs=Some(4) resume=false journal=results/run_journal.json profile=false events=false",
+        ),
+        (
+            "table1 fig2 fig8 --profile --events --jobs 2 --no-cache --json out-prof",
+            "table1+fig2+fig8 json=Some(\"out-prof\") quick inject=None cache=None deadline=None retries=2 jobs=Some(2) resume=false journal=results/run_journal.json profile=true events=true",
+        ),
+        (
+            "all --inject fig5:hang --deadline 30 --retries 1 --json out-hang --journal out-hang/journal.json --no-cache --jobs 4",
+            "all json=Some(\"out-hang\") quick inject=Some(\"fig5:hang\") cache=None deadline=Some(30s) retries=1 jobs=Some(4) resume=false journal=out-hang/journal.json profile=false events=false",
+        ),
+        (
+            "fig3 --inject fig3:transient --json out-flaky --journal out-flaky/journal.json --no-cache",
+            "fig3 json=Some(\"out-flaky\") quick inject=Some(\"fig3:transient\") cache=None deadline=None retries=2 jobs=None resume=false journal=out-flaky/journal.json profile=false events=false",
+        ),
+        (
+            "fig2 --inject fig2:slow --json out-slow --journal out-slow/journal.json --no-cache",
+            "fig2 json=Some(\"out-slow\") quick inject=Some(\"fig2:slow\") cache=None deadline=None retries=2 jobs=None resume=false journal=out-slow/journal.json profile=false events=false",
+        ),
+        (
+            "fig2 --json out-c --cache-dir chaos-cache",
+            "fig2 json=Some(\"out-c\") quick inject=None cache=Some(\"chaos-cache\") deadline=None retries=2 jobs=None resume=false journal=results/run_journal.json profile=false events=false",
+        ),
+        (
+            "fig2 --json out-c2 --cache-dir chaos-cache",
+            "fig2 json=Some(\"out-c2\") quick inject=None cache=Some(\"chaos-cache\") deadline=None retries=2 jobs=None resume=false journal=results/run_journal.json profile=false events=false",
+        ),
+        (
+            "all --json out-ref --journal ref-journal.json --no-cache --jobs 1",
+            "all json=Some(\"out-ref\") quick inject=None cache=None deadline=None retries=2 jobs=Some(1) resume=false journal=ref-journal.json profile=false events=false",
+        ),
+        (
+            "all --json out-kill --journal kill-journal.json --no-cache --jobs 4",
+            "all json=Some(\"out-kill\") quick inject=None cache=None deadline=None retries=2 jobs=Some(4) resume=false journal=kill-journal.json profile=false events=false",
+        ),
+        (
+            "all --json out-kill --journal kill-journal.json --no-cache --jobs 4 --resume",
+            "all json=Some(\"out-kill\") quick inject=None cache=None deadline=None retries=2 jobs=Some(4) resume=true journal=kill-journal.json profile=false events=false",
+        ),
+        (
+            "all --json out-kill --journal kill-journal.json --no-cache --jobs 4 --resume --paper",
+            "all json=Some(\"out-kill\") paper inject=None cache=None deadline=None retries=2 jobs=Some(4) resume=true journal=kill-journal.json profile=false events=false",
+        ),
+    ];
+
+    #[test]
+    fn ci_command_lines_parse_as_before() {
+        for (line, expected) in CI_LINES {
+            assert_eq!(describe(&cli(line)), *expected, "{line}");
+        }
+    }
 }

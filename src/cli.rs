@@ -2758,4 +2758,418 @@ mod tests {
         })
         .unwrap();
     }
+
+    /// Parses a whole command line the way the `darksil` binary does.
+    fn parse_line(line: &str) -> Result<(Command, Option<usize>), ParseError> {
+        let (rest, jobs) = extract_jobs(&argv(line))?;
+        Ok((parse(&rest)?, jobs))
+    }
+
+    /// One single-error argv for every distinct usage message, with that
+    /// message byte for byte.
+    const GOLDEN_USAGE_ERRORS: &[(&str, &str)] = &[
+        ("tsp --node 16 --jobs", "--jobs expects a value"),
+        (
+            "tsp --node 16 --jobs x",
+            "--jobs expects an integer, got 'x'",
+        ),
+        (
+            "tsp --node 16 --jobs 0",
+            "--jobs expects a positive integer",
+        ),
+        ("run", "run expects a scenario file"),
+        ("run a.json --frob", "unknown argument '--frob'"),
+        ("run a.json b.json", "unknown argument 'b.json'"),
+        ("cache", "cache expects an action (stats|verify|clear)"),
+        (
+            "cache defrag",
+            "unknown cache action 'defrag' (use stats|verify|clear)",
+        ),
+        ("cache stats --dir", "--dir expects a value"),
+        ("cache stats --frob", "unknown argument '--frob'"),
+        (
+            "cache clear --evict",
+            "--evict only applies to cache verify",
+        ),
+        ("estimate --app x264 --tdp 185", "--node is required"),
+        (
+            "estimate --app x264 --tdp 185 --node",
+            "--node expects a value",
+        ),
+        (
+            "estimate --node 14 --app x264 --tdp 185",
+            "unknown node '14' (use 22|16|11|8)",
+        ),
+        ("estimate --node 16 --tdp 185", "--app is required"),
+        (
+            "estimate --node 16 --tdp 185 --app",
+            "--app expects a value",
+        ),
+        (
+            "estimate --node 16 --app doom --tdp 185",
+            "unknown application 'doom'",
+        ),
+        (
+            "estimate --node 16 --app x264 --tdp 185 --threads",
+            "--threads expects a value",
+        ),
+        (
+            "estimate --node 16 --app x264 --tdp 185 --threads x",
+            "--threads expects an integer, got 'x'",
+        ),
+        (
+            "estimate --node 16 --app x264 --tdp 185 --freq",
+            "--freq expects a value",
+        ),
+        (
+            "estimate --node 16 --app x264 --tdp 185 --freq x",
+            "--freq expects a number, got 'x'",
+        ),
+        (
+            "estimate --node 16 --app x264 --tdp",
+            "--tdp expects a value",
+        ),
+        (
+            "estimate --node 16 --app x264 --tdp x",
+            "--tdp expects a number, got 'x'",
+        ),
+        (
+            "estimate --node 16 --app x264",
+            "pass --tdp WATTS or --thermal",
+        ),
+        (
+            "estimate --node 16 --app x264 --tdp 185 --thermal",
+            "--tdp and --thermal are mutually exclusive",
+        ),
+        (
+            "estimate --node 16 --app x264 --tdp 185 --frob",
+            "unknown flag '--frob'",
+        ),
+        ("tsp", "--node is required"),
+        ("tsp --node", "--node expects a value"),
+        ("tsp --node 16 --active", "--active expects a value"),
+        (
+            "tsp --node 16 --active x",
+            "--active expects an integer, got 'x'",
+        ),
+        ("tsp --node 16 --frob", "unknown flag '--frob'"),
+        ("map --node 16", "--policy is required"),
+        ("map --node 16 --policy", "--policy expects a value"),
+        (
+            "map --node 16 --policy magic",
+            "unknown policy 'magic' (use tdpmap|dsrem)",
+        ),
+        (
+            "map --node 16 --policy dsrem --mix",
+            "--mix expects a value",
+        ),
+        (
+            "map --node 16 --policy dsrem --mix x",
+            "--mix expects an integer, got 'x'",
+        ),
+        (
+            "map --node 16 --policy dsrem --tdp",
+            "--tdp expects a value",
+        ),
+        (
+            "map --node 16 --policy dsrem --tdp x",
+            "--tdp expects a number, got 'x'",
+        ),
+        (
+            "map --node 16 --policy dsrem --frob",
+            "unknown flag '--frob'",
+        ),
+        ("boost", "--node is required"),
+        ("boost --node 16 --app doom", "unknown application 'doom'"),
+        ("boost --node 16 --instances", "--instances expects a value"),
+        (
+            "boost --node 16 --instances x",
+            "--instances expects an integer, got 'x'",
+        ),
+        ("boost --node 16 --duration", "--duration expects a value"),
+        (
+            "boost --node 16 --duration x",
+            "--duration expects a number, got 'x'",
+        ),
+        ("boost --node 16 --frob", "unknown flag '--frob'"),
+        ("help --frob", "unknown flag '--frob'"),
+        ("frobnicate", "unknown command 'frobnicate'"),
+        ("trace", "trace expects an action (summarize|compare)"),
+        (
+            "trace frob",
+            "unknown trace action 'frob' (use summarize|compare)",
+        ),
+        ("trace summarize --top", "--top expects a value"),
+        (
+            "trace summarize --top x",
+            "--top expects an integer, got 'x'",
+        ),
+        (
+            "trace summarize --top 0",
+            "--top expects a positive integer",
+        ),
+        ("trace summarize a.json b.json", "unknown argument 'b.json'"),
+        ("trace summarize --frob", "unknown argument '--frob'"),
+        (
+            "trace compare one.json",
+            "trace compare expects exactly two files: <BASELINE> <CURRENT>",
+        ),
+        (
+            "trace compare a b c",
+            "trace compare expects exactly two files: <BASELINE> <CURRENT>",
+        ),
+        ("trace compare a b --frob", "unknown argument '--frob'"),
+        (
+            "events",
+            "events expects an action (summarize|filter|verify)",
+        ),
+        (
+            "events frob",
+            "unknown events action 'frob' (use summarize|filter|verify)",
+        ),
+        ("events summarize a b", "unknown argument 'b'"),
+        ("events summarize --frob", "unknown argument '--frob'"),
+        ("events verify a b", "unknown argument 'b'"),
+        ("events filter", "events filter expects an event kind"),
+        ("events filter k --limit", "--limit expects a value"),
+        (
+            "events filter k --limit x",
+            "--limit expects an integer, got 'x'",
+        ),
+        ("events filter k a b", "unknown argument 'b'"),
+        ("events filter k --frob", "unknown argument '--frob'"),
+        ("report --trace", "--trace expects a value"),
+        ("report --out", "--out expects a value"),
+        ("report a b", "unknown argument 'b'"),
+        ("report --frob", "unknown argument '--frob'"),
+        ("fuzz --seed", "--seed expects a value"),
+        ("fuzz --seed x", "--seed expects an integer, got 'x'"),
+        ("fuzz --cases", "--cases expects a value"),
+        ("fuzz --cases x", "--cases expects an integer, got 'x'"),
+        ("fuzz --cases 0", "--cases expects a positive integer"),
+        ("fuzz --inject", "--inject expects a mode"),
+        (
+            "fuzz --inject frob",
+            "unknown inject mode 'frob' (use nan|time|tsp)",
+        ),
+        ("fuzz --corpus", "--corpus expects a directory"),
+        ("fuzz --frob", "unknown argument '--frob'"),
+        (
+            "fuzz --replay --inject nan",
+            "--replay re-runs the corpus; --inject only applies to fuzzing",
+        ),
+        ("tournament --seed", "--seed expects a value"),
+        ("tournament --seed x", "--seed expects an integer, got 'x'"),
+        ("tournament --cases", "--cases expects a value"),
+        (
+            "tournament --cases x",
+            "--cases expects an integer, got 'x'",
+        ),
+        ("tournament --cases 0", "--cases expects a positive integer"),
+        ("tournament --out", "--out expects a directory"),
+        ("tournament --frob", "unknown argument '--frob'"),
+        ("sweep", "sweep expects a spec file"),
+        ("sweep s.json t.json", "unknown argument 't.json'"),
+        ("sweep s.json --out", "--out expects a directory"),
+        (
+            "sweep s.json --cache-dir",
+            "--cache-dir expects a directory",
+        ),
+        (
+            "sweep s.json --no-cache --cache-dir c",
+            "--no-cache and --cache-dir are mutually exclusive",
+        ),
+        ("sweep s.json --frob", "unknown argument '--frob'"),
+        ("serve --addr", "--addr expects host:port"),
+        ("serve --max-inflight", "--max-inflight expects a value"),
+        (
+            "serve --max-inflight x",
+            "--max-inflight expects an integer, got 'x'",
+        ),
+        (
+            "serve --max-inflight 0",
+            "--max-inflight and --tenant-quota must be positive",
+        ),
+        ("serve --tenant-quota", "--tenant-quota expects a value"),
+        (
+            "serve --tenant-quota x",
+            "--tenant-quota expects an integer, got 'x'",
+        ),
+        (
+            "serve --tenant-quota 0",
+            "--max-inflight and --tenant-quota must be positive",
+        ),
+        ("serve --state-dir", "--state-dir expects a directory"),
+        ("serve --deadline-s", "--deadline-s expects seconds"),
+        (
+            "serve --deadline-s x",
+            "--deadline-s expects a number, got 'x'",
+        ),
+        (
+            "serve --deadline-s 0",
+            "--deadline-s must be positive and --drain-grace-s non-negative",
+        ),
+        ("serve --drain-grace-s", "--drain-grace-s expects seconds"),
+        (
+            "serve --drain-grace-s x",
+            "--drain-grace-s expects a number, got 'x'",
+        ),
+        (
+            "serve --drain-grace-s -1",
+            "--deadline-s must be positive and --drain-grace-s non-negative",
+        ),
+        ("serve --frob", "unknown argument '--frob'"),
+        ("top --addr", "--addr expects host:port"),
+        ("top --interval", "--interval expects seconds"),
+        ("top --interval x", "--interval expects a number, got 'x'"),
+        ("top --interval 0", "--interval expects positive seconds"),
+        ("top --frob", "unknown argument '--frob'"),
+    ];
+
+    #[test]
+    fn golden_usage_messages() {
+        for (line, message) in GOLDEN_USAGE_ERRORS {
+            match parse_line(line) {
+                Err(e) => assert_eq!(e.0, *message, "{line}"),
+                Ok(parsed) => panic!("{line}: accepted as {parsed:?}"),
+            }
+        }
+    }
+
+    /// Every `darksil` command line in `.github/workflows/ci.yml` (the
+    /// last one usage-fails on purpose) plus perfbench's daemon spawn,
+    /// with what it parses to.
+    const CI_LINES: &[(&str, &str)] = &[
+        (
+            "fuzz --replay",
+            "Fuzz { seed: 1, cases: 25, inject: None, corpus: \"tests/corpus\", replay: true } jobs=None",
+        ),
+        (
+            "--jobs 4 fuzz --seed 1 --cases 200 --corpus fuzz-out",
+            "Fuzz { seed: 1, cases: 200, inject: None, corpus: \"fuzz-out\", replay: false } jobs=Some(4)",
+        ),
+        (
+            "--jobs 1 fuzz --seed 1 --cases 200 --corpus fuzz-out",
+            "Fuzz { seed: 1, cases: 200, inject: None, corpus: \"fuzz-out\", replay: false } jobs=Some(1)",
+        ),
+        (
+            "--jobs 4 fuzz --seed 1 --cases 200 --corpus fuzz-out",
+            "Fuzz { seed: 1, cases: 200, inject: None, corpus: \"fuzz-out\", replay: false } jobs=Some(4)",
+        ),
+        (
+            "fuzz --seed 1 --cases 1 --inject nan --corpus inject-corpus",
+            "Fuzz { seed: 1, cases: 1, inject: Some(Nan), corpus: \"inject-corpus\", replay: false } jobs=None",
+        ),
+        (
+            "fuzz --replay --corpus inject-corpus",
+            "Fuzz { seed: 1, cases: 25, inject: None, corpus: \"inject-corpus\", replay: true } jobs=None",
+        ),
+        (
+            "events verify results/events_table1+fig2+fig8.jsonl",
+            "Events(Verify { path: Some(\"results/events_table1+fig2+fig8.jsonl\") }) jobs=None",
+        ),
+        (
+            "--jobs 1 sweep scenarios/sweeps/fig8_node_parallelism.json --out sweep-j1 --cache-dir sweep-cache-j1",
+            "Sweep { path: \"scenarios/sweeps/fig8_node_parallelism.json\", out: \"sweep-j1\", cache_dir: Some(\"sweep-cache-j1\"), no_cache: false, resume: false } jobs=Some(1)",
+        ),
+        (
+            "--jobs 4 sweep scenarios/sweeps/fig8_node_parallelism.json --out sweep-j4 --cache-dir sweep-cache-j4",
+            "Sweep { path: \"scenarios/sweeps/fig8_node_parallelism.json\", out: \"sweep-j4\", cache_dir: Some(\"sweep-cache-j4\"), no_cache: false, resume: false } jobs=Some(4)",
+        ),
+        (
+            "--jobs 4 sweep scenarios/sweeps/fig8_node_parallelism.json --out sweep-warm --cache-dir sweep-cache-j4",
+            "Sweep { path: \"scenarios/sweeps/fig8_node_parallelism.json\", out: \"sweep-warm\", cache_dir: Some(\"sweep-cache-j4\"), no_cache: false, resume: false } jobs=Some(4)",
+        ),
+        (
+            "--jobs 4 sweep edited-sweep.json --out sweep-edit --cache-dir sweep-cache-j4",
+            "Sweep { path: \"edited-sweep.json\", out: \"sweep-edit\", cache_dir: Some(\"sweep-cache-j4\"), no_cache: false, resume: false } jobs=Some(4)",
+        ),
+        (
+            "--jobs 4 sweep scenarios/sweeps/mc_tdp_variability.json --out sweep-mc --cache-dir sweep-cache-mc",
+            "Sweep { path: \"scenarios/sweeps/mc_tdp_variability.json\", out: \"sweep-mc\", cache_dir: Some(\"sweep-cache-mc\"), no_cache: false, resume: false } jobs=Some(4)",
+        ),
+        (
+            "sweep scenarios/sweeps/fig8_node_parallelism.json --out sweep-env --cache-dir sweep-cache-j4",
+            "Sweep { path: \"scenarios/sweeps/fig8_node_parallelism.json\", out: \"sweep-env\", cache_dir: Some(\"sweep-cache-j4\"), no_cache: false, resume: false } jobs=None",
+        ),
+        (
+            "trace summarize results/trace_repro.json",
+            "Trace(Summarize { path: \"results/trace_repro.json\", top: 12 }) jobs=None",
+        ),
+        (
+            "events summarize table1+fig2+fig8",
+            "Events(Summarize { path: Some(\"table1+fig2+fig8\") }) jobs=None",
+        ),
+        (
+            "report table1+fig2+fig8",
+            "Report { run: Some(\"table1+fig2+fig8\"), trace: None, out: None } jobs=None",
+        ),
+        (
+            "trace compare BENCH_baseline.json BENCH_repro.json",
+            "Trace(Compare { baseline: \"BENCH_baseline.json\", current: \"BENCH_repro.json\" }) jobs=None",
+        ),
+        (
+            "cache verify --dir chaos-cache",
+            "Cache { action: Verify, dir: \"chaos-cache\", evict: false } jobs=None",
+        ),
+        (
+            "cache verify --dir chaos-cache --evict",
+            "Cache { action: Verify, dir: \"chaos-cache\", evict: true } jobs=None",
+        ),
+        (
+            "cache verify --dir chaos-cache",
+            "Cache { action: Verify, dir: \"chaos-cache\", evict: false } jobs=None",
+        ),
+        (
+            "run scenarios/dsrem_mix.json --json",
+            "Run { path: \"scenarios/dsrem_mix.json\", json: true } jobs=None",
+        ),
+        (
+            "--jobs 2 serve --addr 127.0.0.1:8787 --state-dir svc-state --tenant-quota 1",
+            "Serve { addr: \"127.0.0.1:8787\", max_inflight: 64, tenant_quota: 1, state_dir: \"svc-state\", deadline_s: 30.0, drain_grace_s: 30.0 } jobs=Some(2)",
+        ),
+        (
+            "--jobs 2 serve --addr 127.0.0.1:8788 --state-dir svc-kill",
+            "Serve { addr: \"127.0.0.1:8788\", max_inflight: 64, tenant_quota: 8, state_dir: \"svc-kill\", deadline_s: 30.0, drain_grace_s: 30.0 } jobs=Some(2)",
+        ),
+        (
+            "--jobs 2 serve --addr 127.0.0.1:8788 --state-dir svc-kill",
+            "Serve { addr: \"127.0.0.1:8788\", max_inflight: 64, tenant_quota: 8, state_dir: \"svc-kill\", deadline_s: 30.0, drain_grace_s: 30.0 } jobs=Some(2)",
+        ),
+        (
+            "--jobs 2 serve --addr 127.0.0.1:8789 --state-dir svc-hang --deadline-s 2",
+            "Serve { addr: \"127.0.0.1:8789\", max_inflight: 64, tenant_quota: 8, state_dir: \"svc-hang\", deadline_s: 2.0, drain_grace_s: 30.0 } jobs=Some(2)",
+        ),
+        (
+            "--jobs 2 serve --addr 127.0.0.1:8791 --state-dir svc-metrics",
+            "Serve { addr: \"127.0.0.1:8791\", max_inflight: 64, tenant_quota: 8, state_dir: \"svc-metrics\", deadline_s: 30.0, drain_grace_s: 30.0 } jobs=Some(2)",
+        ),
+        (
+            "top --addr 127.0.0.1:8791 --once",
+            "Top { addr: \"127.0.0.1:8791\", interval_s: 2.0, once: true } jobs=None",
+        ),
+        (
+            "trace summarize --top 0",
+            "error: --top expects a positive integer",
+        ),
+        (
+            "serve --addr 127.0.0.1:8790 --state-dir svc-bad",
+            "Serve { addr: \"127.0.0.1:8790\", max_inflight: 64, tenant_quota: 8, state_dir: \"svc-bad\", deadline_s: 30.0, drain_grace_s: 30.0 } jobs=None",
+        ),
+        (
+            "serve --addr 127.0.0.1:0 --jobs 1 --state-dir perfbench-state",
+            "Serve { addr: \"127.0.0.1:0\", max_inflight: 64, tenant_quota: 8, state_dir: \"perfbench-state\", deadline_s: 30.0, drain_grace_s: 30.0 } jobs=Some(1)",
+        ),
+    ];
+
+    #[test]
+    fn ci_command_lines_parse_as_before() {
+        for (line, expected) in CI_LINES {
+            let parsed = match parse_line(line) {
+                Ok((command, jobs)) => format!("{command:?} jobs={jobs:?}"),
+                Err(e) => format!("error: {e}"),
+            };
+            assert_eq!(parsed, *expected, "{line}");
+        }
+    }
 }
