@@ -1,18 +1,6 @@
-//! `repro` — regenerate every table and figure of the paper.
-//!
-//! ```text
-//! repro <artefact>... [--json DIR] [--paper] [--inject ARTEFACT[:KIND]]
-//!                     [--jobs N] [--no-cache] [--cache-dir DIR]
-//!                     [--deadline SECS] [--retries N] [--resume]
-//!                     [--journal PATH] [--profile]
-//!
-//! artefacts: table1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
-//!            fig11 fig12 fig13 fig14 dtm aging variability cooling
-//!            pareto all
-//! ```
-//!
-//! Run `repro --help` for the full flag reference and exit-code
-//! semantics.
+//! `repro` — regenerate every table and figure of the paper. Run
+//! `repro --help` for the artefacts, the flag reference and the
+//! exit-code semantics.
 //!
 //! Every artefact runs in isolation as a **supervised** `darksil-engine`
 //! job: each attempt gets a wall-clock deadline (per artefact class,
@@ -60,6 +48,7 @@ use darksil_engine::{
     DEFAULT_CACHE_DIR,
 };
 use darksil_json::{Json, ToJson};
+use darksil_robust::args::{self, Args, Flag, ParseError, Parsed, Spec};
 use darksil_robust::{DarksilError, Fault, FaultPlan};
 
 /// Bump whenever an artefact's generating code changes meaning: the
@@ -70,57 +59,112 @@ const CACHE_SALT: &str = "repro-v1";
 /// Usage-error exit code, distinct from artefact failures (1).
 const EXIT_USAGE: u8 = 2;
 
-const USAGE: &str = "usage: repro <table1|fig2..fig14|dtm|aging|variability|cooling|pareto|all>...
-             [--json DIR] [--paper] [--inject ARTEFACT[:KIND]] [--jobs N]
-             [--no-cache] [--cache-dir DIR] [--deadline SECS] [--retries N]
-             [--resume] [--journal PATH] [--profile] [--events]
+/// The artefacts `repro` can regenerate, as its synopsis shows them.
+const ARTEFACTS: &str = "<table1|fig2..fig14|dtm|aging|variability|cooling|pareto|all>...";
 
-  several artefact names may be given (e.g. `repro table1 fig2 fig8`);
-  `all` selects every artefact and cannot be combined with names
+/// `repro`'s one command: artefact names and these flags, in the order
+/// `repro --help` lists them.
+const REPRO: [Spec<Options>; 1] = [Spec {
+    words: "",
+    operands: ARTEFACTS,
+    max_operands: usize::MAX,
+    flags: &[
+        Flag::value(
+            "--json",
+            "DIR",
+            "a directory",
+            "additionally write machine-readable series to DIR",
+        ),
+        Flag::switch(
+            "--paper",
+            "run transients at the paper's full horizons (slow)",
+        ),
+        Flag::value(
+            "--inject",
+            "A[:KIND]",
+            "an artefact name",
+            "inject a fault into artefact A. KIND: nan (default, NaN power into the \
+             thermal solver — not retryable), hang (cooperative spin until the deadline \
+             cancels it), slow (1.5 s stall before the work), transient (fails the first \
+             attempt, succeeds on retry)",
+        ),
+        Flag::switch(
+            "--no-cache",
+            "recompute every artefact, bypassing the result cache",
+        ),
+        Flag::value(
+            "--cache-dir",
+            "DIR",
+            "a directory",
+            "result-cache location (default results/.cache)",
+        ),
+        Flag::value(
+            "--deadline",
+            "SECS",
+            "a positive number of seconds",
+            "per-attempt wall-clock budget for every artefact, overriding the class \
+             defaults (fast 60 s, steady-state thermal 300 s, transient 600 s)",
+        ),
+        Flag::value(
+            "--retries",
+            "N",
+            "a non-negative integer",
+            "retries per artefact after the first attempt (default 2; only retryable \
+             error classes re-run)",
+        ),
+        Flag::switch(
+            "--resume",
+            "continue an interrupted run: artefacts the journal records as done/degraded \
+             are skipped, interrupted and failed ones are re-queued. The selection, \
+             fidelity and injection flags must match the journalled run.",
+        ),
+        Flag::value(
+            "--journal",
+            "PATH",
+            "a file path",
+            "journal location (default results/run_journal.json)",
+        ),
+        Flag::switch(
+            "--profile",
+            "record a darksil-obs trace of the run: writes results/trace_repro.json (the \
+             span tree — inspect with `darksil trace summarize`) and BENCH_repro.json \
+             (aggregated per-phase timings with regression bounds; the committed copy is \
+             the CI baseline). Artefact payloads are unaffected",
+        ),
+        Flag::switch(
+            "--events",
+            "record the domain event stream (thermal samples, DVFS transitions, mapping \
+             decisions, TSP budgets): writes results/events_<selection>.jsonl — inspect \
+             with `darksil events summarize` or render with `darksil report` — plus \
+             results/trace_repro.json. The stream is byte-identical at any --jobs setting",
+        ),
+    ],
+    build: options,
+}];
 
-  --json DIR         additionally write machine-readable series to DIR
-  --paper            run transients at the paper's full horizons (slow)
-  --inject A[:KIND]  inject a fault into artefact A. KIND: nan (default,
-                     NaN power into the thermal solver — not retryable),
-                     hang (cooperative spin until the deadline cancels
-                     it), slow (1.5 s stall before the work), transient
-                     (fails the first attempt, succeeds on retry)
-  --jobs N           worker threads for the artefact fan-out (default:
-                     DARKSIL_JOBS, else the available parallelism);
-                     --jobs 1 runs everything serially
-  --no-cache         recompute every artefact, bypassing the result cache
-  --cache-dir DIR    result-cache location (default results/.cache)
-  --deadline SECS    per-attempt wall-clock budget for every artefact,
-                     overriding the class defaults (fast 60 s,
-                     steady-state thermal 300 s, transient 600 s)
-  --retries N        retries per artefact after the first attempt
-                     (default 2; only retryable error classes re-run)
-  --resume           continue an interrupted run: artefacts the journal
-                     records as done/degraded are skipped, interrupted
-                     and failed ones are re-queued. The selection,
-                     fidelity and injection flags must match the
-                     journalled run.
-  --journal PATH     journal location (default results/run_journal.json)
-  --profile          record a darksil-obs trace of the run: writes
-                     results/trace_repro.json (the span tree — inspect
-                     with `darksil trace summarize`) and BENCH_repro.json
-                     (aggregated per-phase timings with regression
-                     bounds; the committed copy is the CI baseline).
-                     Artefact payloads are unaffected
-  --events           record the domain event stream (thermal samples,
-                     DVFS transitions, mapping decisions, TSP budgets):
-                     writes results/events_<selection>.jsonl — inspect
-                     with `darksil events summarize` or render with
-                     `darksil report` — plus results/trace_repro.json.
-                     The stream is byte-identical at any --jobs setting
+/// The usage text: synopsis and flag reference rendered from [`REPRO`].
+fn usage() -> String {
+    let [spec] = &REPRO;
+    let words = std::iter::once(ARTEFACTS.to_string())
+        .chain(args::flag_words(spec.flags))
+        .chain(args::flag_words(&args::GLOBAL));
+    format!(
+        "{}\n\n  several artefact names may be given (e.g. `repro table1 fig2 fig8`);\n  \
+         `all` selects every artefact and cannot be combined with names\n\n{}\n{}\n\n\
+         exit codes:\n  \
+         0  every artefact completed; a warning is printed on stderr when any\n     \
+         finished in declared degraded mode\n  \
+         1  at least one artefact failed (or a report could not be written)\n  \
+         2  usage error (bad flags, unknown artefact, or --resume with a\n     \
+         missing or mismatched journal)",
+        args::wrap("usage: repro ", words),
+        args::reference(spec.flags),
+        args::reference(&args::GLOBAL),
+    )
+}
 
-exit codes:
-  0  every artefact completed; a warning is printed on stderr when any
-     finished in declared degraded mode
-  1  at least one artefact failed (or a report could not be written)
-  2  usage error (bad flags, unknown artefact, or --resume with a
-     missing or mismatched journal)";
-
+/// A parsed `repro` command line: the runners read the artefact
+/// settings, `main` the rest.
 struct Options {
     json_dir: Option<PathBuf>,
     fidelity: Fidelity,
@@ -128,6 +172,15 @@ struct Options {
     cache: Option<ResultCache>,
     deadline_override: Option<Duration>,
     retries: u32,
+    /// The selected artefacts, deduplicated, in the order named.
+    selected: Vec<Runner>,
+    /// Whether `all` was named: it labels the run and prints a header
+    /// before each artefact.
+    all: bool,
+    resume: bool,
+    journal_path: PathBuf,
+    profile: bool,
+    events: bool,
 }
 
 /// What `--inject` asks for.
@@ -273,177 +326,76 @@ struct ArtefactRun {
     text: String,
 }
 
-/// A parsed `repro` command line: the artefact options plus the
-/// settings `main` acts on itself.
-struct Cli {
-    options: Options,
-    /// The selected artefacts, deduplicated, in the order named.
-    selected: Vec<Runner>,
-    /// Whether `all` was named: it labels the run and prints a header
-    /// before each artefact.
-    all: bool,
-    /// `--jobs N`; `None` defers to `DARKSIL_JOBS` or the machine.
-    jobs: Option<usize>,
-    resume: bool,
-    journal_path: PathBuf,
-    profile: bool,
-    events: bool,
-}
-
-/// What a `repro` command line asks for.
-enum Invocation {
-    Help,
-    Run(Box<Cli>),
-}
-
-/// Reads `repro`'s argv (without the program name). The error is the
-/// usage message; an empty one means no artefact was named, which
-/// prints the usage alone.
-fn parse_args(args: &[String]) -> Result<Invocation, String> {
-    let mut args = args.iter();
-    let Some(artefact) = args.next() else {
-        return Err(String::new());
-    };
-    if artefact == "--help" || artefact == "-h" {
-        return Ok(Invocation::Help);
+/// Builds the options [`args::parse`] read. An empty error means no
+/// artefact was named, which prints the usage alone.
+fn options(p: &Args) -> Result<Options, ParseError> {
+    let inject = p.get("--inject", |spec| {
+        let (artefact, kind) = spec.split_once(':').unwrap_or((spec, "nan"));
+        let kind = InjectKind::parse(kind).ok_or_else(|| {
+            format!("unknown inject kind {kind:?} (expected nan, hang, slow or transient)")
+        })?;
+        let artefact = artefact.to_string();
+        Ok(Inject { artefact, kind })
+    })?;
+    let deadline = p.number("--deadline")?;
+    if deadline.is_some_and(|secs| !(secs > 0.0 && secs.is_finite())) {
+        return Err("--deadline expects a positive number of seconds".into());
     }
-    let mut json_dir = None;
-    let mut fidelity = Fidelity::Quick;
-    let mut inject: Option<Inject> = None;
-    let mut jobs_flag: Option<usize> = None;
-    let mut use_cache = true;
-    let mut cache_dir = PathBuf::from(DEFAULT_CACHE_DIR);
-    let mut deadline_override: Option<Duration> = None;
-    let mut retries: u32 = 2;
-    let mut resume = false;
-    let mut journal_path = PathBuf::from(DEFAULT_JOURNAL_PATH);
-    let mut profile = false;
-    let mut events = false;
-    let mut requested: Vec<String> = vec![artefact.clone()];
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--help" | "-h" => return Ok(Invocation::Help),
-            "--json" => match args.next() {
-                Some(dir) => json_dir = Some(PathBuf::from(dir)),
-                None => return Err("--json requires a directory".into()),
-            },
-            "--paper" => fidelity = Fidelity::Paper,
-            "--inject" => match args.next() {
-                Some(spec) => {
-                    let (name, kind) = match spec.split_once(':') {
-                        Some((name, kind)) => (name.to_string(), kind),
-                        None => (spec.clone(), "nan"),
-                    };
-                    let Some(kind) = InjectKind::parse(kind) else {
-                        return Err(format!(
-                            "unknown inject kind {kind:?} (expected nan, hang, slow or transient)"
-                        ));
-                    };
-                    inject = Some(Inject {
-                        artefact: name,
-                        kind,
-                    });
-                }
-                None => return Err("--inject requires an artefact name".into()),
-            },
-            "--jobs" => match args.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => jobs_flag = Some(n),
-                _ => return Err("--jobs requires a positive integer".into()),
-            },
-            "--no-cache" => use_cache = false,
-            "--cache-dir" => match args.next() {
-                Some(dir) => cache_dir = PathBuf::from(dir),
-                None => return Err("--cache-dir requires a directory".into()),
-            },
-            "--deadline" => match args.next().map(|n| n.parse::<f64>()) {
-                Some(Ok(secs)) if secs > 0.0 && secs.is_finite() => {
-                    deadline_override = Some(Duration::from_secs_f64(secs));
-                }
-                _ => return Err("--deadline requires a positive number of seconds".into()),
-            },
-            "--retries" => match args.next().map(|n| n.parse::<u32>()) {
-                Some(Ok(n)) => retries = n,
-                _ => return Err("--retries requires a non-negative integer".into()),
-            },
-            "--resume" => resume = true,
-            "--journal" => match args.next() {
-                Some(path) => journal_path = PathBuf::from(path),
-                None => return Err("--journal requires a file path".into()),
-            },
-            "--profile" => profile = true,
-            "--events" => events = true,
-            other if !other.starts_with('-') => requested.push(other.to_string()),
-            other => return Err(format!("unknown flag {other}")),
+    let all = p.operands.iter().any(|name| name == "all");
+    if p.operands.is_empty() {
+        return Err(ParseError(String::new()));
+    } else if all && p.operands.len() > 1 {
+        return Err("`all` cannot be combined with artefact names".into());
+    }
+    let mut selected: Vec<Runner> = Vec::new();
+    for name in p.operands.iter().filter(|name| *name != "all") {
+        let runner = RUNNERS.iter().find(|(known, _)| known == name);
+        let runner = runner.ok_or_else(|| format!("unknown artefact {name}"))?;
+        if !selected.iter().any(|(n, _)| n == &runner.0) {
+            selected.push(*runner);
         }
     }
-    let options = Options {
-        json_dir,
-        fidelity,
+    let cache_dir = p.text("--cache-dir").unwrap_or(DEFAULT_CACHE_DIR);
+    let journal_path = p.text("--journal").unwrap_or(DEFAULT_JOURNAL_PATH);
+    Ok(Options {
+        json_dir: p.text("--json").map(PathBuf::from),
+        fidelity: if p.has("--paper") {
+            Fidelity::Paper
+        } else {
+            Fidelity::Quick
+        },
         inject,
-        cache: use_cache.then(|| ResultCache::open(cache_dir, CACHE_SALT)),
-        deadline_override,
-        retries,
-    };
-
-    let all = requested.iter().any(|name| name == "all");
-    let selected: Vec<Runner> = if all {
-        if requested.len() > 1 {
-            return Err("`all` cannot be combined with artefact names".into());
-        }
-        RUNNERS.to_vec()
-    } else {
-        let mut picked: Vec<Runner> = Vec::new();
-        for name in &requested {
-            match RUNNERS.iter().find(|(known, _)| known == name) {
-                Some(runner) if !picked.iter().any(|(n, _)| n == &runner.0) => {
-                    picked.push(*runner);
-                }
-                Some(_) => {}
-                None => return Err(format!("unknown artefact {name}")),
-            }
-        }
-        picked
-    };
-    Ok(Invocation::Run(Box::new(Cli {
-        options,
-        selected,
+        cache: (!p.has("--no-cache")).then(|| ResultCache::open(cache_dir, CACHE_SALT)),
+        deadline_override: deadline.map(Duration::from_secs_f64),
+        retries: p.integer("--retries")?.unwrap_or(2),
+        selected: if all { RUNNERS.to_vec() } else { selected },
         all,
-        jobs: jobs_flag,
-        resume,
-        journal_path,
-        profile,
-        events,
-    })))
+        resume: p.has("--resume"),
+        journal_path: PathBuf::from(journal_path),
+        profile: p.has("--profile"),
+        events: p.has("--events"),
+    })
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    let Cli {
-        options,
-        selected,
-        all,
-        jobs,
-        resume,
-        journal_path,
-        profile,
-        events,
-    } = match parse_args(&args) {
-        Ok(Invocation::Help) => {
-            println!("{USAGE}");
+    let (options, jobs) = match args::parse(&REPRO, &args) {
+        Ok(Parsed::Help) => {
+            println!("{}", usage());
             return ExitCode::SUCCESS;
         }
-        Ok(Invocation::Run(cli)) => *cli,
-        Err(message) => return usage_error(&message),
+        Ok(Parsed::Run(options, jobs)) => (options, jobs),
+        Err(e) => return usage_error(&e.0),
     };
     let jobs = jobs.unwrap_or_else(darksil_engine::default_jobs).max(1);
     // Nested engine fan-outs (inside the figures) follow the same
     // setting as the artefact-level pool.
     darksil_engine::set_default_jobs(jobs);
 
-    let names: Vec<&'static str> = selected.iter().map(|(name, _)| *name).collect();
+    let names: Vec<&'static str> = options.selected.iter().map(|(name, _)| *name).collect();
     // Stable label for the journal fingerprint and the profile reports:
     // `all`, a single name, or the deduplicated names joined with `+`.
-    let selection_label = if all {
+    let selection_label = if options.all {
         "all".to_string()
     } else {
         names.join("+")
@@ -453,8 +405,8 @@ fn main() -> ExitCode {
     // resuming under a different configuration would mix incompatible
     // results, so a mismatch is a usage error.
     let fingerprint = run_fingerprint(&selection_label, &options);
-    let journal = if resume {
-        let journal = match Journal::load(&journal_path) {
+    let journal = if options.resume {
+        let journal = match Journal::load(&options.journal_path) {
             Ok(journal) => journal,
             Err(e) => {
                 eprintln!("repro --resume: {e}");
@@ -465,7 +417,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "repro --resume: journal {} was recorded for a different run \
                  configuration\n  journalled: {}\n  requested:  {}",
-                journal_path.display(),
+                options.journal_path.display(),
                 journal.config().compact(),
                 fingerprint.compact()
             );
@@ -479,7 +431,7 @@ fn main() -> ExitCode {
         );
         journal
     } else {
-        Journal::create(&journal_path, fingerprint, &names)
+        Journal::create(&options.journal_path, fingerprint, &names)
     };
     if let Err(e) = journal.save() {
         eprintln!("cannot write journal: {e}");
@@ -490,20 +442,19 @@ fn main() -> ExitCode {
 
     // `--events` implies span recording (enable_events is a superset of
     // enable); `--profile` alone records spans only.
-    if events {
+    if options.events {
         darksil_obs::enable_events();
-    } else if profile {
+    } else if options.profile {
         darksil_obs::enable();
     }
     let root_span = darksil_obs::span("repro.run");
     let started = Instant::now();
-    let runs = Engine::new(jobs).par_map(selected, |(name, run)| {
+    let runs = Engine::new(jobs).par_map(options.selected.clone(), |(name, run)| {
         Ok(run_artefact(name, run, &options, &supervisor, &journal))
     });
     let total_seconds = started.elapsed().as_secs_f64();
     drop(root_span);
 
-    let show_headers = all;
     let mut outcomes: Vec<ArtefactOutcome> = Vec::with_capacity(runs.len());
     for (name, run) in names.into_iter().zip(runs) {
         // The engine's own panic isolation is a backstop; `run_artefact`
@@ -520,7 +471,7 @@ fn main() -> ExitCode {
             },
             text: String::new(),
         });
-        if show_headers {
+        if options.all {
             println!("\n================ {name} ================");
         }
         print!("{}", art.text);
@@ -542,19 +493,19 @@ fn main() -> ExitCode {
         eprintln!("cannot write bench report: {e}");
         return ExitCode::FAILURE;
     }
-    if events || profile {
+    if options.events || options.profile {
         let (trace, stream) = darksil_obs::drain_all();
         if let Err(e) = write_trace_report(&trace) {
             eprintln!("cannot write trace report: {e}");
             return ExitCode::FAILURE;
         }
-        if events {
+        if options.events {
             if let Err(e) = write_event_report(&stream, &selection_label) {
                 eprintln!("cannot write event report: {e}");
                 return ExitCode::FAILURE;
             }
         }
-        if profile {
+        if options.profile {
             if let Err(e) =
                 write_bench_baseline(&trace, jobs, &selection_label, total_seconds, &outcomes)
             {
@@ -593,9 +544,9 @@ fn main() -> ExitCode {
 /// and returns the usage exit code.
 fn usage_error(message: &str) -> ExitCode {
     if message.is_empty() {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
     } else {
-        eprintln!("repro: {message}\n\n{USAGE}");
+        eprintln!("repro: {message}\n\n{}", usage());
     }
     ExitCode::from(EXIT_USAGE)
 }
@@ -1538,21 +1489,25 @@ mod tests {
         s.split_whitespace().map(str::to_string).collect()
     }
 
-    fn cli(line: &str) -> Cli {
+    fn parse_args(args: &[String]) -> Result<Parsed<Options>, ParseError> {
+        args::parse(&REPRO, args)
+    }
+
+    fn cli(line: &str) -> (Options, Option<usize>) {
         match parse_args(&argv(line)) {
-            Ok(Invocation::Run(cli)) => *cli,
-            Ok(Invocation::Help) => panic!("{line}: parsed as --help"),
+            Ok(Parsed::Run(cli, jobs)) => (cli, jobs),
+            Ok(Parsed::Help) => panic!("{line}: parsed as --help"),
             Err(e) => panic!("{line}: {e}"),
         }
     }
 
-    fn names(cli: &Cli) -> Vec<&'static str> {
+    fn names(cli: &Options) -> Vec<&'static str> {
         cli.selected.iter().map(|(name, _)| *name).collect()
     }
 
     /// Every field a command line sets, on one line.
-    fn describe(cli: &Cli) -> String {
-        let o = &cli.options;
+    fn describe((cli, jobs): &(Options, Option<usize>)) -> String {
+        let o = cli;
         format!(
             "{} json={:?} {} inject={:?} cache={:?} deadline={:?} retries={} jobs={:?} \
              resume={} journal={} profile={} events={}",
@@ -1569,7 +1524,7 @@ mod tests {
             o.cache.as_ref().map(ResultCache::dir),
             o.deadline_override,
             o.retries,
-            cli.jobs,
+            jobs,
             cli.resume,
             cli.journal_path.display(),
             cli.profile,
@@ -1580,38 +1535,32 @@ mod tests {
     /// One argv per usage error `parse_args` can report, with its exact
     /// message.
     const USAGE_ERRORS: &[(&str, &str)] = &[
-        ("fig2 --json", "--json requires a directory"),
-        ("fig2 --inject", "--inject requires an artefact name"),
+        ("fig2 --json", "--json expects a directory"),
+        ("fig2 --inject", "--inject expects an artefact name"),
         (
             "fig2 --inject fig2:frob",
             "unknown inject kind \"frob\" (expected nan, hang, slow or transient)",
         ),
-        ("fig2 --jobs", "--jobs requires a positive integer"),
-        ("fig2 --jobs x", "--jobs requires a positive integer"),
-        ("fig2 --jobs 0", "--jobs requires a positive integer"),
-        ("fig2 --cache-dir", "--cache-dir requires a directory"),
+        ("fig2 --jobs", "--jobs expects a value"),
+        ("fig2 --jobs x", "--jobs expects an integer, got 'x'"),
+        ("fig2 --jobs 0", "--jobs expects a positive integer"),
+        ("fig2 --cache-dir", "--cache-dir expects a directory"),
         (
             "fig2 --deadline",
-            "--deadline requires a positive number of seconds",
+            "--deadline expects a positive number of seconds",
         ),
-        (
-            "fig2 --deadline x",
-            "--deadline requires a positive number of seconds",
-        ),
+        ("fig2 --deadline x", "--deadline expects a number, got 'x'"),
         (
             "fig2 --deadline 0",
-            "--deadline requires a positive number of seconds",
+            "--deadline expects a positive number of seconds",
         ),
-        (
-            "fig2 --retries",
-            "--retries requires a non-negative integer",
-        ),
+        ("fig2 --retries", "--retries expects a non-negative integer"),
         (
             "fig2 --retries -1",
-            "--retries requires a non-negative integer",
+            "--retries expects an integer, got '-1'",
         ),
-        ("fig2 --journal", "--journal requires a file path"),
-        ("fig2 --bogus", "unknown flag --bogus"),
+        ("fig2 --journal", "--journal expects a file path"),
+        ("fig2 --bogus", "unknown argument '--bogus'"),
         ("all fig2", "`all` cannot be combined with artefact names"),
         ("fig2 frob", "unknown artefact frob"),
     ];
@@ -1632,7 +1581,7 @@ mod tests {
     fn help_is_honoured_anywhere() {
         for line in ["--help", "-h", "fig2 --help", "fig2 --json out -h"] {
             assert!(
-                matches!(parse_args(&argv(line)), Ok(Invocation::Help)),
+                matches!(parse_args(&argv(line)), Ok(Parsed::Help)),
                 "{line}"
             );
         }
@@ -1640,10 +1589,10 @@ mod tests {
 
     #[test]
     fn all_stands_alone_and_names_deduplicate_in_order() {
-        let every = cli("all");
+        let (every, _) = cli("all");
         assert!(every.all);
         assert_eq!(names(&every), RUNNERS.map(|(name, _)| name));
-        let some = cli("fig8 table1 fig8 fig2 table1");
+        let (some, _) = cli("fig8 table1 fig8 fig2 table1");
         assert!(!some.all);
         assert_eq!(names(&some), ["fig8", "table1", "fig2"]);
         assert!(parse_args(&argv("fig2 all")).is_err());
@@ -1731,6 +1680,28 @@ mod tests {
     fn ci_command_lines_parse_as_before() {
         for (line, expected) in CI_LINES {
             assert_eq!(describe(&cli(line)), *expected, "{line}");
+        }
+    }
+
+    #[test]
+    fn flags_may_come_before_the_artefact_names() {
+        assert_eq!(
+            describe(&cli("--json out table1")),
+            describe(&cli("table1 --json out"))
+        );
+        assert_eq!(
+            describe(&cli("--jobs 2 --paper fig11 --no-cache fig12")),
+            describe(&cli("fig11 fig12 --paper --no-cache --jobs 2"))
+        );
+        // Flags alone name no artefact: the usage is printed by itself.
+        assert!(matches!(parse_args(&argv("--paper")), Err(e) if e.0.is_empty()));
+    }
+
+    #[test]
+    fn help_lists_every_flag() {
+        let text = usage();
+        for flag in REPRO[0].flags.iter().chain(&args::GLOBAL) {
+            assert!(text.contains(flag.name), "{}", flag.name);
         }
     }
 }

@@ -19,9 +19,12 @@
 //!   parameter.
 //! - [`write_atomic`], the tmp+rename write behind every persisted
 //!   artefact, journal, cache entry and served file.
+//! - [`args`], the table-driven command-line parser behind the
+//!   `darksil` and `repro` binaries and their `--help`.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod args;
 mod atomic;
 mod cancel;
 mod error;

@@ -3,10 +3,10 @@
 //! adapts process arguments and exit codes, and points the
 //! execution engine at the requested `--jobs` worker count.
 //!
-//! Exit codes: 0 on success, 1 on a runtime failure, 2 on a usage
-//! error (unknown flag, malformed value — e.g. a non-positive
-//! `trace summarize --top`), matching the Unix convention that lets
-//! scripts tell "you called me wrong" from "the work failed".
+//! Exit codes: 0 on success (and for `--help`), 1 on a runtime
+//! failure, 2 on a usage error (unknown flag, malformed value — e.g. a
+//! non-positive `trace summarize --top`), matching the Unix convention
+//! that lets scripts tell "you called me wrong" from "the work failed".
 
 use std::env;
 use std::process::ExitCode;
@@ -16,27 +16,21 @@ const EXIT_USAGE: u8 = 2;
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    let (args, jobs) = match darksil::cli::extract_jobs(&args) {
-        Ok(split) => split,
+    let (command, jobs) = match darksil::cli::parse(&args) {
+        Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", darksil::cli::USAGE);
+            eprintln!("error: {e}\n\n{}", darksil::cli::usage());
             return ExitCode::from(EXIT_USAGE);
         }
     };
     if let Some(jobs) = jobs {
         darksil_engine::set_default_jobs(jobs);
     }
-    match darksil::cli::parse(&args) {
-        Ok(command) => match darksil::cli::run(&command) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
+    match darksil::cli::run(&command) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", darksil::cli::USAGE);
-            ExitCode::from(EXIT_USAGE)
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
 }

@@ -1,27 +1,19 @@
 //! Command-line interface of the `darksil` binary.
 //!
 //! Dependency-free argument parsing split from `main` so every path is
-//! unit-testable. Commands:
-//!
-//! ```text
-//! darksil estimate --node <22|16|11|8> --app <name> [--threads N]
-//!                  [--freq GHZ] (--tdp WATTS | --thermal)
-//! darksil tsp      --node <nm> [--active N]
-//! darksil map      --node <nm> --policy <tdpmap|dsrem> [--mix N] [--tdp W]
-//! darksil boost    --node <nm> [--app NAME] [--instances N] [--duration S]
-//! ```
-//!
-//! Every subcommand additionally accepts `--jobs N` to size the
-//! execution-engine worker pool (default: `DARKSIL_JOBS`, else the
-//! available parallelism; `--jobs 1` runs serially).
-
-use std::fmt;
+//! unit-testable. Each subcommand's flags are declared once, in a table
+//! that the parser and `darksil --help` both read; run `darksil --help`
+//! (or `darksil <subcommand> --help`) for the synopsis of every
+//! subcommand. Every subcommand also accepts `--jobs N` to size the
+//! execution-engine worker pool.
 
 use darksil_boost::{run_boosting_and_constant, PolicyConfig};
 use darksil_core::DarkSiliconEstimator;
 use darksil_engine::Engine;
 use darksil_mapping::{place_patterned, DsRem, Platform, TdpMap};
 use darksil_power::TechnologyNode;
+pub use darksil_robust::args::ParseError;
+use darksil_robust::args::{self, Args, Flag, Parsed, Spec};
 use darksil_robust::DarksilError;
 use darksil_tsp::TspCalculator;
 use darksil_units::{Hertz, Seconds, Watts};
@@ -259,52 +251,404 @@ impl CacheAction {
             "stats" => Ok(Self::Stats),
             "verify" => Ok(Self::Verify),
             "clear" => Ok(Self::Clear),
-            other => Err(ParseError(format!(
-                "unknown cache action '{other}' (use stats|verify|clear)"
-            ))),
+            other => Err(format!("unknown cache action '{other}' (use stats|verify|clear)").into()),
         }
     }
 }
 
-/// A parse failure with a user-facing message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError(pub String);
+/// `--node`, which every simulation subcommand requires.
+const NODE: Flag = Flag::value("--node", "<22|16|11|8>", "a value", "").required();
 
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+/// `darksil`'s subcommands: the words that select each one, its
+/// operands and flags, and the constructor of its [`Command`].
+const SUBCOMMANDS: &[Spec<Command>] = &[
+    Spec {
+        words: "estimate",
+        operands: "",
+        max_operands: 0,
+        flags: &[
+            NODE,
+            Flag::value("--app", "<name>", "a value", "").required(),
+            Flag::value("--threads", "N", "a value", ""),
+            Flag::value("--freq", "GHZ", "a value", ""),
+            Flag::value("--tdp", "WATTS", "a value", ""),
+            Flag::switch("--thermal", ""),
+        ],
+        build: |p| {
+            let tdp = p.number("--tdp")?.map(Watts::new);
+            match (tdp, p.has("--thermal")) {
+                (None, false) => Err("pass --tdp WATTS or --thermal".into()),
+                (Some(_), true) => Err("--tdp and --thermal are mutually exclusive".into()),
+                _ => Ok(Command::Estimate {
+                    node: p.require("--node", parse_node)?,
+                    app: p.require("--app", parse_app)?,
+                    threads: p.integer("--threads")?.unwrap_or(8),
+                    freq: p.number("--freq")?.map(Hertz::from_ghz),
+                    tdp,
+                }),
+            }
+        },
+    },
+    Spec {
+        words: "tsp",
+        operands: "",
+        max_operands: 0,
+        flags: &[NODE, Flag::value("--active", "N", "a value", "")],
+        build: |p| {
+            let node = p.require("--node", parse_node)?;
+            Ok(Command::Tsp {
+                node,
+                active: p.integer("--active")?,
+            })
+        },
+    },
+    Spec {
+        words: "map",
+        operands: "",
+        max_operands: 0,
+        flags: &[
+            NODE,
+            Flag::value("--policy", "<tdpmap|dsrem>", "a value", "").required(),
+            Flag::value("--mix", "N", "a value", ""),
+            Flag::value("--tdp", "W", "a value", ""),
+        ],
+        build: |p| {
+            Ok(Command::Map {
+                node: p.require("--node", parse_node)?,
+                dsrem: p.require("--policy", |policy| match policy {
+                    "dsrem" => Ok(true),
+                    "tdpmap" => Ok(false),
+                    other => Err(format!("unknown policy '{other}' (use tdpmap|dsrem)").into()),
+                })?,
+                mix: p.integer("--mix")?.unwrap_or(14),
+                tdp: Watts::new(p.number("--tdp")?.unwrap_or(185.0)),
+            })
+        },
+    },
+    Spec {
+        words: "boost",
+        operands: "",
+        max_operands: 0,
+        flags: &[
+            NODE,
+            Flag::value("--app", "NAME", "a value", ""),
+            Flag::value("--instances", "N", "a value", ""),
+            Flag::value("--duration", "S", "a value", ""),
+        ],
+        build: |p| {
+            Ok(Command::Boost {
+                node: p.require("--node", parse_node)?,
+                app: p.get("--app", parse_app)?.unwrap_or(ParsecApp::X264),
+                instances: p.integer("--instances")?.unwrap_or(12),
+                duration: p.number("--duration")?.unwrap_or(40.0),
+            })
+        },
+    },
+    Spec {
+        words: "run",
+        operands: "<scenario.json>",
+        max_operands: 1,
+        flags: &[Flag::switch("--json", "")],
+        build: |p| {
+            let path = operand(p, 0, "run expects a scenario file")?;
+            let json = p.has("--json");
+            Ok(Command::Run { path, json })
+        },
+    },
+    Spec {
+        words: "cache",
+        operands: "<stats|verify|clear>",
+        max_operands: 1,
+        flags: &[
+            Flag::value("--dir", "DIR", "a value", ""),
+            Flag::switch("--evict", ""),
+        ],
+        build: |p| {
+            let action = operand(p, 0, "cache expects an action (stats|verify|clear)")?;
+            let action = CacheAction::parse(&action)?;
+            let evict = p.has("--evict");
+            if evict && action != CacheAction::Verify {
+                return Err("--evict only applies to cache verify".into());
+            }
+            let dir = p.text("--dir").unwrap_or(darksil_engine::DEFAULT_CACHE_DIR);
+            let dir = dir.to_string();
+            Ok(Command::Cache { action, dir, evict })
+        },
+    },
+    Spec {
+        words: "trace summarize",
+        operands: "[PATH]",
+        max_operands: 1,
+        flags: &[Flag::value("--top", "N", "a value", "")],
+        build: |p| {
+            let path = p.operands.first().cloned();
+            let path = path.unwrap_or_else(|| DEFAULT_TRACE_PATH.into());
+            let top = p.positive("--top")?.unwrap_or(DEFAULT_SUMMARY_TOP);
+            Ok(Command::Trace(TraceAction::Summarize { path, top }))
+        },
+    },
+    Spec {
+        words: "trace compare",
+        operands: "<BASELINE> <CURRENT>",
+        max_operands: usize::MAX,
+        flags: &[],
+        build: |p| match p.operands.as_slice() {
+            [baseline, current] => Ok(Command::Trace(TraceAction::Compare {
+                baseline: baseline.clone(),
+                current: current.clone(),
+            })),
+            _ => Err("trace compare expects exactly two files: <BASELINE> <CURRENT>".into()),
+        },
+    },
+    Spec {
+        words: "events summarize",
+        operands: "[RUN|PATH]",
+        max_operands: 1,
+        flags: &[],
+        build: |p| {
+            let path = p.operands.first().cloned();
+            Ok(Command::Events(EventsAction::Summarize { path }))
+        },
+    },
+    Spec {
+        words: "events filter",
+        operands: "<KIND> [RUN|PATH]",
+        max_operands: 2,
+        flags: &[Flag::value("--limit", "N", "a value", "")],
+        build: |p| {
+            Ok(Command::Events(EventsAction::Filter {
+                path: p.operands.get(1).cloned(),
+                kind: operand(p, 0, "events filter expects an event kind")?,
+                limit: p.integer("--limit")?.unwrap_or(DEFAULT_FILTER_LIMIT),
+            }))
+        },
+    },
+    Spec {
+        words: "events verify",
+        operands: "[RUN|PATH]",
+        max_operands: 1,
+        flags: &[],
+        build: |p| {
+            let path = p.operands.first().cloned();
+            Ok(Command::Events(EventsAction::Verify { path }))
+        },
+    },
+    Spec {
+        words: "report",
+        operands: "[RUN|PATH]",
+        max_operands: 1,
+        flags: &[
+            Flag::value("--trace", "PATH", "a value", ""),
+            Flag::value("--out", "PATH", "a value", ""),
+        ],
+        build: |p| {
+            Ok(Command::Report {
+                run: p.operands.first().cloned(),
+                trace: p.text("--trace").map(str::to_string),
+                out: p.text("--out").map(str::to_string),
+            })
+        },
+    },
+    Spec {
+        words: "fuzz",
+        operands: "",
+        max_operands: 0,
+        flags: &[
+            Flag::value("--seed", "N", "a value", ""),
+            Flag::value("--cases", "N", "a value", ""),
+            Flag::value("--inject", "nan|time|tsp", "a mode", ""),
+            Flag::value("--corpus", "DIR", "a directory", ""),
+            Flag::switch("--replay", ""),
+        ],
+        build: |p| {
+            let inject = p.get("--inject", |mode| {
+                let unknown = || format!("unknown inject mode '{mode}' (use nan|time|tsp)");
+                darksil_arena::InjectMode::parse(mode).ok_or_else(|| unknown().into())
+            })?;
+            let replay = p.has("--replay");
+            if replay && inject.is_some() {
+                return Err("--replay re-runs the corpus; --inject only applies to fuzzing".into());
+            }
+            Ok(Command::Fuzz {
+                seed: p.integer("--seed")?.unwrap_or(DEFAULT_FUZZ_SEED),
+                cases: p.positive("--cases")?.unwrap_or(DEFAULT_FUZZ_CASES),
+                inject,
+                corpus: p.text("--corpus").unwrap_or(DEFAULT_CORPUS_DIR).to_string(),
+                replay,
+            })
+        },
+    },
+    Spec {
+        words: "tournament",
+        operands: "",
+        max_operands: 0,
+        flags: &[
+            Flag::value("--seed", "N", "a value", ""),
+            Flag::value("--cases", "N", "a value", ""),
+            Flag::value("--out", "DIR", "a directory", ""),
+        ],
+        build: |p| {
+            Ok(Command::Tournament {
+                seed: p.integer("--seed")?.unwrap_or(DEFAULT_FUZZ_SEED),
+                cases: p.positive("--cases")?.unwrap_or(DEFAULT_TOURNAMENT_CASES),
+                out: p.text("--out").unwrap_or("results").to_string(),
+            })
+        },
+    },
+    Spec {
+        words: "sweep",
+        operands: "<spec.json>",
+        max_operands: 1,
+        flags: &[
+            Flag::value("--out", "DIR", "a directory", ""),
+            Flag::value("--cache-dir", "DIR", "a directory", ""),
+            Flag::switch("--no-cache", ""),
+            Flag::switch("--resume", ""),
+        ],
+        build: |p| {
+            let path = operand(p, 0, "sweep expects a spec file")?;
+            let (cache_dir, no_cache) = (p.text("--cache-dir"), p.has("--no-cache"));
+            if no_cache && cache_dir.is_some() {
+                return Err("--no-cache and --cache-dir are mutually exclusive".into());
+            }
+            Ok(Command::Sweep {
+                path,
+                out: p.text("--out").unwrap_or("results").to_string(),
+                cache_dir: cache_dir.map(str::to_string),
+                no_cache,
+                resume: p.has("--resume"),
+            })
+        },
+    },
+    Spec {
+        words: "serve",
+        operands: "",
+        max_operands: 0,
+        flags: &[
+            Flag::value("--addr", "HOST:PORT", "host:port", ""),
+            Flag::value("--max-inflight", "N", "a value", ""),
+            Flag::value("--tenant-quota", "N", "a value", ""),
+            Flag::value("--state-dir", "DIR", "a directory", ""),
+            Flag::value("--deadline-s", "S", "seconds", ""),
+            Flag::value("--drain-grace-s", "S", "seconds", ""),
+        ],
+        build: |p| {
+            let max_inflight = p.integer("--max-inflight")?.unwrap_or(64);
+            let tenant_quota = p.integer("--tenant-quota")?.unwrap_or(8);
+            if max_inflight == 0 || tenant_quota == 0 {
+                return Err("--max-inflight and --tenant-quota must be positive".into());
+            }
+            let deadline_s = p.number("--deadline-s")?.unwrap_or(30.0);
+            let drain_grace_s = p.number("--drain-grace-s")?.unwrap_or(30.0);
+            let sane = deadline_s.is_finite() && deadline_s > 0.0;
+            if !(sane && drain_grace_s.is_finite() && drain_grace_s >= 0.0) {
+                return Err(
+                    "--deadline-s must be positive and --drain-grace-s non-negative".into(),
+                );
+            }
+            Ok(Command::Serve {
+                addr: p.text("--addr").unwrap_or(DEFAULT_ADDR).to_string(),
+                max_inflight,
+                tenant_quota,
+                state_dir: p.text("--state-dir").unwrap_or("state").to_string(),
+                deadline_s,
+                drain_grace_s,
+            })
+        },
+    },
+    Spec {
+        words: "top",
+        operands: "",
+        max_operands: 0,
+        flags: &[
+            Flag::value("--addr", "HOST:PORT", "host:port", ""),
+            Flag::value("--interval", "S", "seconds", ""),
+            Flag::switch("--once", ""),
+        ],
+        build: |p| {
+            let interval_s = p.number("--interval")?.unwrap_or(2.0);
+            if !interval_s.is_finite() || interval_s <= 0.0 {
+                return Err("--interval expects positive seconds".into());
+            }
+            let addr = p.text("--addr").unwrap_or(DEFAULT_ADDR).to_string();
+            let once = p.has("--once");
+            Ok(Command::Top {
+                addr,
+                interval_s,
+                once,
+            })
+        },
+    },
+    Spec {
+        words: "help",
+        operands: "",
+        max_operands: 0,
+        flags: &[],
+        build: |_| Ok(Command::Help),
+    },
+];
+
+/// The daemon address `serve` listens on and `top` polls by default.
+const DEFAULT_ADDR: &str = "127.0.0.1:8787";
+
+/// Operand `i`, or the usage error `expects` when it is absent.
+fn operand(p: &Args, i: usize, expects: &str) -> Result<String, ParseError> {
+    p.operands.get(i).cloned().ok_or_else(|| expects.into())
+}
+
+fn parse_node(s: &str) -> Result<TechnologyNode, ParseError> {
+    let node = TechnologyNode::ALL
+        .iter()
+        .find(|n| n.nanometers().to_string() == s);
+    let unknown = || format!("unknown node '{s}' (use 22|16|11|8)").into();
+    node.copied().ok_or_else(unknown)
+}
+
+fn parse_app(s: &str) -> Result<ParsecApp, ParseError> {
+    let app = ParsecApp::ALL.iter().find(|a| a.name() == s);
+    app.copied()
+        .ok_or_else(|| format!("unknown application '{s}'").into())
+}
+
+/// Parses argv (without the program name) into a [`Command`] and the
+/// `--jobs` value, which every subcommand accepts anywhere on the line.
+///
+/// # Errors
+///
+/// Returns [`ParseError`] with a user-facing message for unknown
+/// commands, flags, values, or missing required arguments.
+pub fn parse(args: &[String]) -> Result<(Command, Option<usize>), ParseError> {
+    match args::parse(SUBCOMMANDS, args)? {
+        Parsed::Help => Ok((Command::Help, None)),
+        Parsed::Run(command, jobs) => Ok((command, jobs)),
     }
 }
 
-impl std::error::Error for ParseError {}
+/// Usage text printed by `darksil help`, `--help` and on parse errors.
+/// The synopsis is rendered from the subcommand table.
+#[must_use]
+pub fn usage() -> String {
+    let synopsis = SUBCOMMANDS.iter().map(|spec| {
+        let (name, action) = spec.words.split_once(' ').unwrap_or((spec.words, ""));
+        let operands = [action, spec.operands].map(str::split_whitespace);
+        let words = operands.into_iter().flatten().map(str::to_string);
+        args::wrap(
+            &format!("  darksil {name:<8} "),
+            words.chain(args::flag_words(spec.flags)),
+        )
+    });
+    format!(
+        "darksil — dark-silicon analysis toolkit (DAC'15 reproduction)\n\nUSAGE:\n{}\n\n\
+         Every subcommand also accepts:\n{}\n\n{USAGE_PROSE}",
+        synopsis.collect::<Vec<_>>().join("\n"),
+        args::reference(&args::GLOBAL)
+    )
+}
 
-/// Usage text printed by `darksil help` and on parse errors.
-pub const USAGE: &str = "\
-darksil — dark-silicon analysis toolkit (DAC'15 reproduction)
-
-USAGE:
-  darksil estimate --node <22|16|11|8> --app <name> [--threads N]
-                   [--freq GHZ] (--tdp WATTS | --thermal)
-  darksil tsp      --node <nm> [--active N]
-  darksil map      --node <nm> --policy <tdpmap|dsrem> [--mix N] [--tdp W]
-  darksil boost    --node <nm> [--app NAME] [--instances N] [--duration S]
-  darksil run      <scenario.json> [--json]
-  darksil cache    <stats|verify|clear> [--dir DIR] [--evict]
-  darksil trace    summarize [PATH] [--top N]
-  darksil trace    compare <BASELINE> <CURRENT>
-  darksil events   summarize [RUN|PATH]
-  darksil events   filter <KIND> [RUN|PATH] [--limit N]
-  darksil events   verify [RUN|PATH]
-  darksil report   [RUN|PATH] [--trace PATH] [--out PATH]
-  darksil fuzz     [--seed N] [--cases N] [--inject nan|time|tsp]
-                   [--corpus DIR] [--replay]
-  darksil tournament [--seed N] [--cases N] [--out DIR]
-  darksil sweep    <spec.json> [--out DIR] [--cache-dir DIR] [--no-cache]
-                   [--resume]
-  darksil serve    [--addr HOST:PORT] [--max-inflight N] [--tenant-quota N]
-                   [--state-dir DIR] [--deadline-s S] [--drain-grace-s S]
-  darksil top      [--addr HOST:PORT] [--interval S] [--once]
-  darksil help
+/// The hand-written part of [`usage`].
+const USAGE_PROSE: &str = "\
+`estimate` takes exactly one constraint: a power budget (--tdp) or the
+80 °C thermal limit (--thermal).
 
 `trace summarize` renders the hot-path table of a trace recorded by
 `repro --profile` (default PATH: results/trace_repro.json); `trace
@@ -367,631 +711,7 @@ GET /v1/jobs/<digest>/watch (chunked JSON lines) and fetch derived
 event statistics from GET /v1/jobs/<digest>/events; see DESIGN.md §19
 for the metrics contract.
 
-Every subcommand also accepts --jobs N (worker threads for parallel
-sweeps; default DARKSIL_JOBS or the available parallelism; --jobs
-always wins over DARKSIL_JOBS, and an unparseable DARKSIL_JOBS is
-ignored with a warning on stderr).
-
 apps: x264 blackscholes bodytrack ferret canneal dedup swaptions";
-
-/// Splits `--jobs N` (accepted uniformly, anywhere on the command
-/// line) out of argv so the subcommand parsers never see it. Returns
-/// the remaining arguments and the requested worker count.
-///
-/// # Errors
-///
-/// Returns [`ParseError`] when `--jobs` is missing its value or the
-/// value is not a positive integer.
-pub fn extract_jobs(args: &[String]) -> Result<(Vec<String>, Option<usize>), ParseError> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut jobs = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--jobs" {
-            let value = it
-                .next()
-                .ok_or_else(|| ParseError("--jobs expects a value".into()))?;
-            let n = parse_usize("--jobs", value)?;
-            if n == 0 {
-                return Err(ParseError("--jobs expects a positive integer".into()));
-            }
-            jobs = Some(n);
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    Ok((rest, jobs))
-}
-
-fn parse_node(s: &str) -> Result<TechnologyNode, ParseError> {
-    match s {
-        "22" => Ok(TechnologyNode::Nm22),
-        "16" => Ok(TechnologyNode::Nm16),
-        "11" => Ok(TechnologyNode::Nm11),
-        "8" => Ok(TechnologyNode::Nm8),
-        other => Err(ParseError(format!(
-            "unknown node '{other}' (use 22|16|11|8)"
-        ))),
-    }
-}
-
-fn parse_app(s: &str) -> Result<ParsecApp, ParseError> {
-    ParsecApp::ALL
-        .iter()
-        .find(|a| a.name() == s)
-        .copied()
-        .ok_or_else(|| ParseError(format!("unknown application '{s}'")))
-}
-
-fn parse_f64(flag: &str, s: &str) -> Result<f64, ParseError> {
-    s.parse()
-        .map_err(|_| ParseError(format!("{flag} expects a number, got '{s}'")))
-}
-
-fn parse_usize(flag: &str, s: &str) -> Result<usize, ParseError> {
-    s.parse()
-        .map_err(|_| ParseError(format!("{flag} expects an integer, got '{s}'")))
-}
-
-fn parse_u64(flag: &str, s: &str) -> Result<u64, ParseError> {
-    s.parse()
-        .map_err(|_| ParseError(format!("{flag} expects an integer, got '{s}'")))
-}
-
-/// Parses argv (without the program name) into a [`Command`].
-///
-/// # Errors
-///
-/// Returns [`ParseError`] with a user-facing message for unknown
-/// commands, flags, values, or missing required arguments.
-pub fn parse(args: &[String]) -> Result<Command, ParseError> {
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
-        return Ok(Command::Help);
-    };
-    if cmd == "run" {
-        let mut path = None;
-        let mut json = false;
-        for arg in it {
-            match arg.as_str() {
-                "--json" => json = true,
-                p if path.is_none() && !p.starts_with('-') => path = Some(p.to_string()),
-                other => return Err(ParseError(format!("unknown argument '{other}'"))),
-            }
-        }
-        let path = path.ok_or_else(|| ParseError("run expects a scenario file".into()))?;
-        return Ok(Command::Run { path, json });
-    }
-    if cmd == "cache" {
-        let action =
-            CacheAction::parse(it.next().ok_or_else(|| {
-                ParseError("cache expects an action (stats|verify|clear)".into())
-            })?)?;
-        let mut dir = darksil_engine::DEFAULT_CACHE_DIR.to_string();
-        let mut evict = false;
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--dir" => {
-                    dir = it
-                        .next()
-                        .cloned()
-                        .ok_or_else(|| ParseError("--dir expects a value".into()))?;
-                }
-                "--evict" => evict = true,
-                other => return Err(ParseError(format!("unknown argument '{other}'"))),
-            }
-        }
-        if evict && action != CacheAction::Verify {
-            return Err(ParseError("--evict only applies to cache verify".into()));
-        }
-        return Ok(Command::Cache { action, dir, evict });
-    }
-    if cmd == "trace" {
-        return parse_trace(&mut it);
-    }
-    if cmd == "events" {
-        return parse_events(&mut it);
-    }
-    if cmd == "report" {
-        return parse_report(&mut it);
-    }
-    if cmd == "fuzz" {
-        return parse_fuzz(&mut it);
-    }
-    if cmd == "tournament" {
-        return parse_tournament(&mut it);
-    }
-    if cmd == "sweep" {
-        return parse_sweep(&mut it);
-    }
-    if cmd == "serve" {
-        return parse_serve(&mut it);
-    }
-    if cmd == "top" {
-        return parse_top(&mut it);
-    }
-    let mut node = None;
-    let mut app = None;
-    let mut threads = 8_usize;
-    let mut freq = None;
-    let mut tdp = None;
-    let mut thermal = false;
-    let mut active = None;
-    let mut policy = None;
-    let mut mix = 14_usize;
-    let mut instances = 12_usize;
-    let mut duration = 40.0_f64;
-
-    let next_value = |flag: &str, it: &mut std::slice::Iter<'_, String>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| ParseError(format!("{flag} expects a value")))
-    };
-
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--node" => node = Some(parse_node(&next_value("--node", &mut it)?)?),
-            "--app" => app = Some(parse_app(&next_value("--app", &mut it)?)?),
-            "--threads" => {
-                threads = parse_usize("--threads", &next_value("--threads", &mut it)?)?;
-            }
-            "--freq" => {
-                freq = Some(Hertz::from_ghz(parse_f64(
-                    "--freq",
-                    &next_value("--freq", &mut it)?,
-                )?));
-            }
-            "--tdp" => {
-                tdp = Some(Watts::new(parse_f64(
-                    "--tdp",
-                    &next_value("--tdp", &mut it)?,
-                )?));
-            }
-            "--thermal" => thermal = true,
-            "--active" => {
-                active = Some(parse_usize("--active", &next_value("--active", &mut it)?)?);
-            }
-            "--policy" => policy = Some(next_value("--policy", &mut it)?),
-            "--mix" => mix = parse_usize("--mix", &next_value("--mix", &mut it)?)?,
-            "--instances" => {
-                instances = parse_usize("--instances", &next_value("--instances", &mut it)?)?;
-            }
-            "--duration" => {
-                duration = parse_f64("--duration", &next_value("--duration", &mut it)?)?;
-            }
-            other => return Err(ParseError(format!("unknown flag '{other}'"))),
-        }
-    }
-
-    let require_node =
-        |node: Option<TechnologyNode>| node.ok_or_else(|| ParseError("--node is required".into()));
-
-    match cmd.as_str() {
-        "estimate" => {
-            let node = require_node(node)?;
-            let app = app.ok_or_else(|| ParseError("--app is required".into()))?;
-            if tdp.is_none() && !thermal {
-                return Err(ParseError("pass --tdp WATTS or --thermal".into()));
-            }
-            if tdp.is_some() && thermal {
-                return Err(ParseError(
-                    "--tdp and --thermal are mutually exclusive".into(),
-                ));
-            }
-            Ok(Command::Estimate {
-                node,
-                app,
-                threads,
-                freq,
-                tdp,
-            })
-        }
-        "tsp" => Ok(Command::Tsp {
-            node: require_node(node)?,
-            active,
-        }),
-        "map" => {
-            let node = require_node(node)?;
-            let policy = policy.ok_or_else(|| ParseError("--policy is required".into()))?;
-            let dsrem = match policy.as_str() {
-                "dsrem" => true,
-                "tdpmap" => false,
-                other => {
-                    return Err(ParseError(format!(
-                        "unknown policy '{other}' (use tdpmap|dsrem)"
-                    )))
-                }
-            };
-            Ok(Command::Map {
-                node,
-                dsrem,
-                mix,
-                tdp: tdp.unwrap_or(Watts::new(185.0)),
-            })
-        }
-        "boost" => Ok(Command::Boost {
-            node: require_node(node)?,
-            app: app.unwrap_or(ParsecApp::X264),
-            instances,
-            duration,
-        }),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(ParseError(format!("unknown command '{other}'"))),
-    }
-}
-
-/// Parses the arguments after `darksil trace`.
-fn parse_trace(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
-    let action = it
-        .next()
-        .ok_or_else(|| ParseError("trace expects an action (summarize|compare)".into()))?;
-    match action.as_str() {
-        "summarize" => {
-            let mut path = None;
-            let mut top = DEFAULT_SUMMARY_TOP;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--top" => {
-                        let value = it
-                            .next()
-                            .ok_or_else(|| ParseError("--top expects a value".into()))?;
-                        top = parse_usize("--top", value)?;
-                        if top == 0 {
-                            return Err(ParseError("--top expects a positive integer".into()));
-                        }
-                    }
-                    p if path.is_none() && !p.starts_with('-') => path = Some(p.to_string()),
-                    other => return Err(ParseError(format!("unknown argument '{other}'"))),
-                }
-            }
-            Ok(Command::Trace(TraceAction::Summarize {
-                path: path.unwrap_or_else(|| DEFAULT_TRACE_PATH.to_string()),
-                top,
-            }))
-        }
-        "compare" => {
-            let mut paths = Vec::new();
-            for arg in it {
-                if arg.starts_with('-') {
-                    return Err(ParseError(format!("unknown argument '{arg}'")));
-                }
-                paths.push(arg.clone());
-            }
-            if paths.len() != 2 {
-                return Err(ParseError(
-                    "trace compare expects exactly two files: <BASELINE> <CURRENT>".into(),
-                ));
-            }
-            let mut paths = paths.into_iter();
-            let (Some(baseline), Some(current)) = (paths.next(), paths.next()) else {
-                return Err(ParseError("trace compare expects two files".into()));
-            };
-            Ok(Command::Trace(TraceAction::Compare { baseline, current }))
-        }
-        other => Err(ParseError(format!(
-            "unknown trace action '{other}' (use summarize|compare)"
-        ))),
-    }
-}
-
-/// Parses the arguments after `darksil events`.
-fn parse_events(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
-    let action = it
-        .next()
-        .ok_or_else(|| ParseError("events expects an action (summarize|filter|verify)".into()))?;
-    match action.as_str() {
-        "summarize" | "verify" => {
-            let verify = action == "verify";
-            let mut path = None;
-            for arg in it {
-                if path.is_none() && !arg.starts_with('-') {
-                    path = Some(arg.clone());
-                } else {
-                    return Err(ParseError(format!("unknown argument '{arg}'")));
-                }
-            }
-            Ok(Command::Events(if verify {
-                EventsAction::Verify { path }
-            } else {
-                EventsAction::Summarize { path }
-            }))
-        }
-        "filter" => {
-            let kind = it
-                .next()
-                .cloned()
-                .ok_or_else(|| ParseError("events filter expects an event kind".into()))?;
-            if kind.starts_with('-') {
-                return Err(ParseError("events filter expects an event kind".into()));
-            }
-            let mut path = None;
-            let mut limit = DEFAULT_FILTER_LIMIT;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--limit" => {
-                        let value = it
-                            .next()
-                            .ok_or_else(|| ParseError("--limit expects a value".into()))?;
-                        limit = parse_usize("--limit", value)?;
-                    }
-                    p if path.is_none() && !p.starts_with('-') => path = Some(p.to_string()),
-                    other => return Err(ParseError(format!("unknown argument '{other}'"))),
-                }
-            }
-            Ok(Command::Events(EventsAction::Filter { path, kind, limit }))
-        }
-        other => Err(ParseError(format!(
-            "unknown events action '{other}' (use summarize|filter|verify)"
-        ))),
-    }
-}
-
-/// Parses the arguments after `darksil fuzz`.
-fn parse_fuzz(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
-    let mut seed = DEFAULT_FUZZ_SEED;
-    let mut cases = DEFAULT_FUZZ_CASES;
-    let mut inject = None;
-    let mut corpus = DEFAULT_CORPUS_DIR.to_string();
-    let mut replay = false;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ParseError("--seed expects a value".into()))?;
-                seed = parse_u64("--seed", value)?;
-            }
-            "--cases" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ParseError("--cases expects a value".into()))?;
-                cases = parse_usize("--cases", value)?;
-                if cases == 0 {
-                    return Err(ParseError("--cases expects a positive integer".into()));
-                }
-            }
-            "--inject" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ParseError("--inject expects a mode".into()))?;
-                inject = Some(darksil_arena::InjectMode::parse(value).ok_or_else(|| {
-                    ParseError(format!("unknown inject mode '{value}' (use nan|time|tsp)"))
-                })?);
-            }
-            "--corpus" => {
-                corpus = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| ParseError("--corpus expects a directory".into()))?;
-            }
-            "--replay" => replay = true,
-            other => return Err(ParseError(format!("unknown argument '{other}'"))),
-        }
-    }
-    if replay && inject.is_some() {
-        return Err(ParseError(
-            "--replay re-runs the corpus; --inject only applies to fuzzing".into(),
-        ));
-    }
-    Ok(Command::Fuzz {
-        seed,
-        cases,
-        inject,
-        corpus,
-        replay,
-    })
-}
-
-/// Parses the arguments after `darksil tournament`.
-fn parse_tournament(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
-    let mut seed = DEFAULT_FUZZ_SEED;
-    let mut cases = DEFAULT_TOURNAMENT_CASES;
-    let mut out = "results".to_string();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ParseError("--seed expects a value".into()))?;
-                seed = parse_u64("--seed", value)?;
-            }
-            "--cases" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ParseError("--cases expects a value".into()))?;
-                cases = parse_usize("--cases", value)?;
-                if cases == 0 {
-                    return Err(ParseError("--cases expects a positive integer".into()));
-                }
-            }
-            "--out" => {
-                out = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| ParseError("--out expects a directory".into()))?;
-            }
-            other => return Err(ParseError(format!("unknown argument '{other}'"))),
-        }
-    }
-    Ok(Command::Tournament { seed, cases, out })
-}
-
-/// Parses the arguments after `darksil sweep`.
-fn parse_sweep(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
-    let mut path = None;
-    let mut out = "results".to_string();
-    let mut cache_dir = None;
-    let mut no_cache = false;
-    let mut resume = false;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                out = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| ParseError("--out expects a directory".into()))?;
-            }
-            "--cache-dir" => {
-                cache_dir = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| ParseError("--cache-dir expects a directory".into()))?,
-                );
-            }
-            "--no-cache" => no_cache = true,
-            "--resume" => resume = true,
-            p if path.is_none() && !p.starts_with('-') => path = Some(p.to_string()),
-            other => return Err(ParseError(format!("unknown argument '{other}'"))),
-        }
-    }
-    let path = path.ok_or_else(|| ParseError("sweep expects a spec file".into()))?;
-    if no_cache && cache_dir.is_some() {
-        return Err(ParseError(
-            "--no-cache and --cache-dir are mutually exclusive".into(),
-        ));
-    }
-    Ok(Command::Sweep {
-        path,
-        out,
-        cache_dir,
-        no_cache,
-        resume,
-    })
-}
-
-/// Parses the arguments after `darksil serve`.
-fn parse_serve(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
-    let mut addr = "127.0.0.1:8787".to_string();
-    let mut max_inflight = 64_usize;
-    let mut tenant_quota = 8_usize;
-    let mut state_dir = "state".to_string();
-    let mut deadline_s = 30.0_f64;
-    let mut drain_grace_s = 30.0_f64;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => {
-                addr = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| ParseError("--addr expects host:port".into()))?;
-            }
-            "--max-inflight" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ParseError("--max-inflight expects a value".into()))?;
-                max_inflight = parse_usize("--max-inflight", value)?;
-            }
-            "--tenant-quota" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ParseError("--tenant-quota expects a value".into()))?;
-                tenant_quota = parse_usize("--tenant-quota", value)?;
-            }
-            "--state-dir" => {
-                state_dir = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| ParseError("--state-dir expects a directory".into()))?;
-            }
-            "--deadline-s" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ParseError("--deadline-s expects seconds".into()))?;
-                deadline_s = parse_f64("--deadline-s", value)?;
-            }
-            "--drain-grace-s" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ParseError("--drain-grace-s expects seconds".into()))?;
-                drain_grace_s = parse_f64("--drain-grace-s", value)?;
-            }
-            other => return Err(ParseError(format!("unknown argument '{other}'"))),
-        }
-    }
-    if max_inflight == 0 || tenant_quota == 0 {
-        return Err(ParseError(
-            "--max-inflight and --tenant-quota must be positive".into(),
-        ));
-    }
-    let sane = deadline_s.is_finite()
-        && deadline_s > 0.0
-        && drain_grace_s.is_finite()
-        && drain_grace_s >= 0.0;
-    if !sane {
-        return Err(ParseError(
-            "--deadline-s must be positive and --drain-grace-s non-negative".into(),
-        ));
-    }
-    Ok(Command::Serve {
-        addr,
-        max_inflight,
-        tenant_quota,
-        state_dir,
-        deadline_s,
-        drain_grace_s,
-    })
-}
-
-/// Parses the arguments after `darksil top`.
-fn parse_top(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
-    let mut addr = "127.0.0.1:8787".to_string();
-    let mut interval_s = 2.0_f64;
-    let mut once = false;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => {
-                addr = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| ParseError("--addr expects host:port".into()))?;
-            }
-            "--interval" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ParseError("--interval expects seconds".into()))?;
-                interval_s = parse_f64("--interval", value)?;
-            }
-            "--once" => once = true,
-            other => return Err(ParseError(format!("unknown argument '{other}'"))),
-        }
-    }
-    if !interval_s.is_finite() || interval_s <= 0.0 {
-        return Err(ParseError("--interval expects positive seconds".into()));
-    }
-    Ok(Command::Top {
-        addr,
-        interval_s,
-        once,
-    })
-}
-
-/// Parses the arguments after `darksil report`.
-fn parse_report(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
-    let mut run = None;
-    let mut trace = None;
-    let mut out = None;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--trace" => {
-                trace = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| ParseError("--trace expects a value".into()))?,
-                );
-            }
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| ParseError("--out expects a value".into()))?,
-                );
-            }
-            p if run.is_none() && !p.starts_with('-') => run = Some(p.to_string()),
-            other => return Err(ParseError(format!("unknown argument '{other}'"))),
-        }
-    }
-    Ok(Command::Report { run, trace, out })
-}
 
 /// Executes a command, writing human-readable output to stdout.
 ///
@@ -1000,7 +720,7 @@ fn parse_report(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseE
 /// Propagates estimation/simulation failures as boxed errors.
 pub fn run(command: &Command) -> Result<(), Box<dyn std::error::Error>> {
     match command {
-        Command::Help => println!("{USAGE}"),
+        Command::Help => println!("{}", usage()),
         Command::Run { path, json } => {
             let scenario = crate::scenario::parse_scenario_file(std::path::Path::new(path))?;
             let report = crate::scenario::run_scenario(&scenario)?;
@@ -1352,7 +1072,7 @@ fn run_events(action: &EventsAction) -> Result<(), Box<dyn std::error::Error>> {
                     println!("VIOLATION {violation}");
                 }
                 let first = &violations[0];
-                return Err(Box::new(ParseError(format!(
+                return Err(format!(
                     "invariant `{}` violated (first at seq [{}])",
                     first.invariant,
                     first
@@ -1361,7 +1081,8 @@ fn run_events(action: &EventsAction) -> Result<(), Box<dyn std::error::Error>> {
                         .map(u64::to_string)
                         .collect::<Vec<_>>()
                         .join(",")
-                ))));
+                )
+                .into());
             }
         }
     }
@@ -1448,10 +1169,11 @@ fn run_fuzz(
             path.display()
         );
     }
-    Err(Box::new(ParseError(format!(
+    Err(format!(
         "{} of {cases} cases violated physical invariants",
         violated.len()
-    ))))
+    )
+    .into())
 }
 
 /// Executes `darksil fuzz --replay`: the corpus regression gate.
@@ -1545,9 +1267,7 @@ fn run_fuzz_replay(corpus: &str) -> Result<(), Box<dyn std::error::Error>> {
         entries.len()
     );
     if failures > 0 {
-        return Err(Box::new(ParseError(format!(
-            "{failures} corpus reproducer(s) failed replay"
-        ))));
+        return Err(format!("{failures} corpus reproducer(s) failed replay").into());
     }
     Ok(())
 }
@@ -1683,14 +1403,7 @@ fn run_report(
     let stream = load_events(&events_path)?;
     let label = run_label(&events_path);
     let trace_loaded: Option<darksil_obs::Trace> = match trace {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| ParseError(format!("cannot read trace '{path}': {e}")))?;
-            Some(
-                darksil_json::from_str(&text)
-                    .map_err(|e| ParseError(format!("'{path}' is not a valid trace: {e}")))?,
-            )
-        }
+        Some(path) => Some(load_json("trace", path)?),
         // No explicit trace: use the default profile output when it
         // exists, quietly skipping the Gantt/histograms otherwise.
         None => std::fs::read_to_string(DEFAULT_TRACE_PATH)
@@ -1721,27 +1434,25 @@ fn run_report(
     Ok(())
 }
 
+/// Reads the JSON `what` (a trace or a baseline) at `path`.
+fn load_json<T: darksil_json::FromJson>(what: &str, path: &str) -> Result<T, ParseError> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read {what} '{path}': {e}"))?;
+    darksil_json::from_str(&text).map_err(|e| format!("'{path}' is not a valid {what}: {e}").into())
+}
+
 /// Executes `darksil trace summarize|compare`.
 fn run_trace(action: &TraceAction) -> Result<(), Box<dyn std::error::Error>> {
     match action {
         TraceAction::Summarize { path, top } => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| ParseError(format!("cannot read trace '{path}': {e}")))?;
-            let trace: darksil_obs::Trace = darksil_json::from_str(&text)
-                .map_err(|e| ParseError(format!("'{path}' is not a valid trace: {e}")))?;
+            let trace: darksil_obs::Trace = load_json("trace", path)?;
             println!("trace {path}:");
             println!("{}", trace.render_summary(*top));
             Ok(())
         }
         TraceAction::Compare { baseline, current } => {
-            let load = |path: &str| -> Result<darksil_obs::BenchBaseline, ParseError> {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| ParseError(format!("cannot read baseline '{path}': {e}")))?;
-                darksil_json::from_str(&text)
-                    .map_err(|e| ParseError(format!("'{path}' is not a valid baseline: {e}")))
-            };
-            let base = load(baseline)?;
-            let cur = load(current)?;
+            let base: darksil_obs::BenchBaseline = load_json("baseline", baseline)?;
+            let cur: darksil_obs::BenchBaseline = load_json("baseline", current)?;
             let regressions = base.regressions_in(&cur);
             println!(
                 "baseline {baseline} (selection '{}', jobs {}) vs {current} (selection '{}', jobs {}):",
@@ -1764,10 +1475,11 @@ fn run_trace(action: &TraceAction) -> Result<(), Box<dyn std::error::Error>> {
             for regression in &regressions {
                 println!("  REGRESSION {regression}");
             }
-            Err(Box::new(ParseError(format!(
+            Err(format!(
                 "{} perf regression(s) beyond baseline bounds",
                 regressions.len()
-            ))))
+            )
+            .into())
         }
     }
 }
@@ -1812,10 +1524,11 @@ fn run_cache(
         println!("  evicted {removed} corrupt entries");
         Ok(())
     } else {
-        Err(Box::new(ParseError(format!(
+        Err(format!(
             "{} corrupt cache entries found (re-run with --evict to remove them)",
             corrupt.len()
-        ))))
+        )
+        .into())
     }
 }
 
@@ -1832,7 +1545,8 @@ mod tests {
         let cmd = parse(&argv(
             "estimate --node 16 --app swaptions --threads 8 --freq 3.6 --tdp 185",
         ))
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(
             cmd,
             Command::Estimate {
@@ -1847,7 +1561,9 @@ mod tests {
 
     #[test]
     fn estimate_thermal_mode() {
-        let cmd = parse(&argv("estimate --node 11 --app canneal --thermal")).unwrap();
+        let cmd = parse(&argv("estimate --node 11 --app canneal --thermal"))
+            .unwrap()
+            .0;
         match cmd {
             Command::Estimate { node, app, tdp, .. } => {
                 assert_eq!(node, TechnologyNode::Nm11);
@@ -1869,14 +1585,16 @@ mod tests {
     #[test]
     fn parses_tsp_and_map_and_boost() {
         assert_eq!(
-            parse(&argv("tsp --node 8 --active 200")).unwrap(),
+            parse(&argv("tsp --node 8 --active 200")).unwrap().0,
             Command::Tsp {
                 node: TechnologyNode::Nm8,
                 active: Some(200),
             }
         );
         assert_eq!(
-            parse(&argv("map --node 16 --policy dsrem --mix 10 --tdp 150")).unwrap(),
+            parse(&argv("map --node 16 --policy dsrem --mix 10 --tdp 150"))
+                .unwrap()
+                .0,
             Command::Map {
                 node: TechnologyNode::Nm16,
                 dsrem: true,
@@ -1884,7 +1602,10 @@ mod tests {
                 tdp: Watts::new(150.0),
             }
         );
-        match parse(&argv("boost --node 16 --instances 6 --duration 20")).unwrap() {
+        match parse(&argv("boost --node 16 --instances 6 --duration 20"))
+            .unwrap()
+            .0
+        {
             Command::Boost {
                 instances,
                 duration,
@@ -1913,7 +1634,7 @@ mod tests {
     #[test]
     fn parses_run() {
         assert_eq!(
-            parse(&argv("run scenario.json --json")).unwrap(),
+            parse(&argv("run scenario.json --json")).unwrap().0,
             Command::Run {
                 path: "scenario.json".into(),
                 json: true,
@@ -1925,39 +1646,39 @@ mod tests {
 
     #[test]
     fn jobs_flag_is_stripped_uniformly() {
-        let (rest, jobs) = extract_jobs(&argv("tsp --jobs 4 --node 16")).unwrap();
+        let (command, jobs) = parse(&argv("tsp --jobs 4 --node 16")).unwrap();
         assert_eq!(jobs, Some(4));
-        assert_eq!(rest, argv("tsp --node 16"));
+        assert_eq!(command, parse(&argv("tsp --node 16")).unwrap().0);
         assert_eq!(
-            parse(&rest).unwrap(),
+            command,
             Command::Tsp {
                 node: TechnologyNode::Nm16,
                 active: None,
             }
         );
         // Trailing position and the run subcommand work too.
-        let (rest, jobs) = extract_jobs(&argv("run scenario.json --json --jobs 2")).unwrap();
+        let (command, jobs) = parse(&argv("run scenario.json --json --jobs 2")).unwrap();
         assert_eq!(jobs, Some(2));
-        assert!(parse(&rest).is_ok());
+        assert!(matches!(command, Command::Run { .. }));
         // Absent flag passes argv through untouched.
-        let (rest, jobs) = extract_jobs(&argv("help")).unwrap();
+        let (command, jobs) = parse(&argv("help")).unwrap();
         assert_eq!(jobs, None);
-        assert_eq!(rest, argv("help"));
+        assert_eq!(command, Command::Help);
     }
 
     #[test]
     fn jobs_flag_rejects_bad_values() {
-        assert!(extract_jobs(&argv("tsp --node 16 --jobs")).is_err());
-        assert!(extract_jobs(&argv("tsp --node 16 --jobs zero")).is_err());
-        assert!(extract_jobs(&argv("tsp --node 16 --jobs 0")).is_err());
-        // Without the pre-strip, subcommand parsers reject the flag.
-        assert!(parse(&argv("tsp --node 16 --jobs 4")).is_err());
+        assert!(parse(&argv("tsp --node 16 --jobs")).is_err());
+        assert!(parse(&argv("tsp --node 16 --jobs zero")).is_err());
+        assert!(parse(&argv("tsp --node 16 --jobs 0")).is_err());
+        // Every subcommand takes the flag wherever it appears.
+        assert_eq!(parse(&argv("tsp --node 16 --jobs 4")).unwrap().1, Some(4));
     }
 
     #[test]
     fn parses_cache() {
         assert_eq!(
-            parse(&argv("cache stats")).unwrap(),
+            parse(&argv("cache stats")).unwrap().0,
             Command::Cache {
                 action: CacheAction::Stats,
                 dir: darksil_engine::DEFAULT_CACHE_DIR.into(),
@@ -1965,7 +1686,7 @@ mod tests {
             }
         );
         assert_eq!(
-            parse(&argv("cache verify --dir /tmp/c --evict")).unwrap(),
+            parse(&argv("cache verify --dir /tmp/c --evict")).unwrap().0,
             Command::Cache {
                 action: CacheAction::Verify,
                 dir: "/tmp/c".into(),
@@ -2020,21 +1741,25 @@ mod tests {
     #[test]
     fn parses_trace() {
         assert_eq!(
-            parse(&argv("trace summarize")).unwrap(),
+            parse(&argv("trace summarize")).unwrap().0,
             Command::Trace(TraceAction::Summarize {
                 path: DEFAULT_TRACE_PATH.into(),
                 top: DEFAULT_SUMMARY_TOP,
             })
         );
         assert_eq!(
-            parse(&argv("trace summarize my_trace.json --top 5")).unwrap(),
+            parse(&argv("trace summarize my_trace.json --top 5"))
+                .unwrap()
+                .0,
             Command::Trace(TraceAction::Summarize {
                 path: "my_trace.json".into(),
                 top: 5,
             })
         );
         assert_eq!(
-            parse(&argv("trace compare BENCH_base.json BENCH_new.json")).unwrap(),
+            parse(&argv("trace compare BENCH_base.json BENCH_new.json"))
+                .unwrap()
+                .0,
             Command::Trace(TraceAction::Compare {
                 baseline: "BENCH_base.json".into(),
                 current: "BENCH_new.json".into(),
@@ -2233,17 +1958,19 @@ mod tests {
     #[test]
     fn parses_events_and_report() {
         assert_eq!(
-            parse(&argv("events summarize")).unwrap(),
+            parse(&argv("events summarize")).unwrap().0,
             Command::Events(EventsAction::Summarize { path: None })
         );
         assert_eq!(
-            parse(&argv("events summarize all")).unwrap(),
+            parse(&argv("events summarize all")).unwrap().0,
             Command::Events(EventsAction::Summarize {
                 path: Some("all".into()),
             })
         );
         assert_eq!(
-            parse(&argv("events filter boost.transition all --limit 5")).unwrap(),
+            parse(&argv("events filter boost.transition all --limit 5"))
+                .unwrap()
+                .0,
             Command::Events(EventsAction::Filter {
                 path: Some("all".into()),
                 kind: "boost.transition".into(),
@@ -2251,7 +1978,9 @@ mod tests {
             })
         );
         assert_eq!(
-            parse(&argv("report table1 --trace t.json --out r.html")).unwrap(),
+            parse(&argv("report table1 --trace t.json --out r.html"))
+                .unwrap()
+                .0,
             Command::Report {
                 run: Some("table1".into()),
                 trace: Some("t.json".into()),
@@ -2259,7 +1988,7 @@ mod tests {
             }
         );
         assert_eq!(
-            parse(&argv("report")).unwrap(),
+            parse(&argv("report")).unwrap().0,
             Command::Report {
                 run: None,
                 trace: None,
@@ -2382,7 +2111,7 @@ mod tests {
     #[test]
     fn parses_fuzz_and_tournament() {
         assert_eq!(
-            parse(&argv("fuzz")).unwrap(),
+            parse(&argv("fuzz")).unwrap().0,
             Command::Fuzz {
                 seed: DEFAULT_FUZZ_SEED,
                 cases: DEFAULT_FUZZ_CASES,
@@ -2395,7 +2124,8 @@ mod tests {
             parse(&argv(
                 "fuzz --seed 7 --cases 200 --inject nan --corpus /tmp/c"
             ))
-            .unwrap(),
+            .unwrap()
+            .0,
             Command::Fuzz {
                 seed: 7,
                 cases: 200,
@@ -2405,7 +2135,9 @@ mod tests {
             }
         );
         assert_eq!(
-            parse(&argv("fuzz --replay --corpus tests/corpus")).unwrap(),
+            parse(&argv("fuzz --replay --corpus tests/corpus"))
+                .unwrap()
+                .0,
             Command::Fuzz {
                 seed: DEFAULT_FUZZ_SEED,
                 cases: DEFAULT_FUZZ_CASES,
@@ -2415,7 +2147,9 @@ mod tests {
             }
         );
         assert_eq!(
-            parse(&argv("tournament --seed 3 --cases 5 --out /tmp/t")).unwrap(),
+            parse(&argv("tournament --seed 3 --cases 5 --out /tmp/t"))
+                .unwrap()
+                .0,
             Command::Tournament {
                 seed: 3,
                 cases: 5,
@@ -2434,7 +2168,9 @@ mod tests {
     #[test]
     fn parses_sweep() {
         assert_eq!(
-            parse(&argv("sweep scenarios/sweeps/fig8_node_parallelism.json")).unwrap(),
+            parse(&argv("sweep scenarios/sweeps/fig8_node_parallelism.json"))
+                .unwrap()
+                .0,
             Command::Sweep {
                 path: "scenarios/sweeps/fig8_node_parallelism.json".into(),
                 out: "results".into(),
@@ -2447,7 +2183,8 @@ mod tests {
             parse(&argv(
                 "sweep spec.json --out /tmp/s --cache-dir /tmp/c --resume"
             ))
-            .unwrap(),
+            .unwrap()
+            .0,
             Command::Sweep {
                 path: "spec.json".into(),
                 out: "/tmp/s".into(),
@@ -2519,11 +2256,13 @@ mod tests {
     #[test]
     fn parses_events_verify() {
         assert_eq!(
-            parse(&argv("events verify")).unwrap(),
+            parse(&argv("events verify")).unwrap().0,
             Command::Events(EventsAction::Verify { path: None })
         );
         assert_eq!(
-            parse(&argv("events verify results/events_all.jsonl")).unwrap(),
+            parse(&argv("events verify results/events_all.jsonl"))
+                .unwrap()
+                .0,
             Command::Events(EventsAction::Verify {
                 path: Some("results/events_all.jsonl".into()),
             })
@@ -2644,16 +2383,16 @@ mod tests {
 
     #[test]
     fn help_paths() {
-        assert_eq!(parse(&[]).unwrap(), Command::Help);
-        assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
-        assert_eq!(parse(&argv("--help")).unwrap(), Command::Help);
-        assert!(USAGE.contains("darksil estimate"));
+        assert_eq!(parse(&[]).unwrap().0, Command::Help);
+        assert_eq!(parse(&argv("help")).unwrap().0, Command::Help);
+        assert_eq!(parse(&argv("--help")).unwrap().0, Command::Help);
+        assert!(usage().contains("darksil estimate"));
     }
 
     #[test]
     fn parses_serve_with_defaults_and_overrides() {
         assert_eq!(
-            parse(&argv("serve")).unwrap(),
+            parse(&argv("serve")).unwrap().0,
             Command::Serve {
                 addr: "127.0.0.1:8787".to_string(),
                 max_inflight: 64,
@@ -2668,7 +2407,8 @@ mod tests {
                 "serve --addr 0.0.0.0:9000 --max-inflight 128 --tenant-quota 4 \
                  --state-dir /tmp/darksil --deadline-s 5.5 --drain-grace-s 0"
             ))
-            .unwrap(),
+            .unwrap()
+            .0,
             Command::Serve {
                 addr: "0.0.0.0:9000".to_string(),
                 max_inflight: 128,
@@ -2694,7 +2434,7 @@ mod tests {
     #[test]
     fn top_parses_defaults_and_flags() {
         assert_eq!(
-            parse(&argv("top")).unwrap(),
+            parse(&argv("top")).unwrap().0,
             Command::Top {
                 addr: "127.0.0.1:8787".to_string(),
                 interval_s: 2.0,
@@ -2702,7 +2442,9 @@ mod tests {
             }
         );
         assert_eq!(
-            parse(&argv("top --addr 10.0.0.1:9 --interval 0.5 --once")).unwrap(),
+            parse(&argv("top --addr 10.0.0.1:9 --interval 0.5 --once"))
+                .unwrap()
+                .0,
             Command::Top {
                 addr: "10.0.0.1:9".to_string(),
                 interval_s: 0.5,
@@ -2761,8 +2503,7 @@ mod tests {
 
     /// Parses a whole command line the way the `darksil` binary does.
     fn parse_line(line: &str) -> Result<(Command, Option<usize>), ParseError> {
-        let (rest, jobs) = extract_jobs(&argv(line))?;
-        Ok((parse(&rest)?, jobs))
+        parse(&argv(line))
     }
 
     /// One single-error argv for every distinct usage message, with that
@@ -2843,7 +2584,7 @@ mod tests {
         ),
         (
             "estimate --node 16 --app x264 --tdp 185 --frob",
-            "unknown flag '--frob'",
+            "unknown argument '--frob'",
         ),
         ("tsp", "--node is required"),
         ("tsp --node", "--node expects a value"),
@@ -2852,7 +2593,7 @@ mod tests {
             "tsp --node 16 --active x",
             "--active expects an integer, got 'x'",
         ),
-        ("tsp --node 16 --frob", "unknown flag '--frob'"),
+        ("tsp --node 16 --frob", "unknown argument '--frob'"),
         ("map --node 16", "--policy is required"),
         ("map --node 16 --policy", "--policy expects a value"),
         (
@@ -2877,7 +2618,7 @@ mod tests {
         ),
         (
             "map --node 16 --policy dsrem --frob",
-            "unknown flag '--frob'",
+            "unknown argument '--frob'",
         ),
         ("boost", "--node is required"),
         ("boost --node 16 --app doom", "unknown application 'doom'"),
@@ -2891,8 +2632,8 @@ mod tests {
             "boost --node 16 --duration x",
             "--duration expects a number, got 'x'",
         ),
-        ("boost --node 16 --frob", "unknown flag '--frob'"),
-        ("help --frob", "unknown flag '--frob'"),
+        ("boost --node 16 --frob", "unknown argument '--frob'"),
+        ("help --frob", "unknown argument '--frob'"),
         ("frobnicate", "unknown command 'frobnicate'"),
         ("trace", "trace expects an action (summarize|compare)"),
         (
@@ -3171,5 +2912,69 @@ mod tests {
             };
             assert_eq!(parsed, *expected, "{line}");
         }
+    }
+
+    #[test]
+    fn every_subcommand_prints_the_usage_for_help() {
+        for spec in SUBCOMMANDS {
+            for help in ["--help", "-h"] {
+                let line = format!("{} {help}", spec.words);
+                assert_eq!(parse_line(&line), Ok((Command::Help, None)), "{line}");
+            }
+        }
+        assert_eq!(
+            parse_line("fuzz --seed 3 --help"),
+            Ok((Command::Help, None))
+        );
+        // The synopsis lists every flag every subcommand accepts.
+        let text = usage();
+        for spec in SUBCOMMANDS {
+            for flag in spec.flags {
+                assert!(text.contains(flag.name), "{} {}", spec.words, flag.name);
+            }
+        }
+        assert!(text.contains("--jobs N") && text.contains("--help"));
+    }
+
+    #[test]
+    fn subcommands_refuse_each_others_flags() {
+        let line = "tsp --node 16 --active 40 --mix 3 --duration 9 --policy x";
+        assert_eq!(parse_line(line).unwrap_err().0, "unknown argument '--mix'");
+        for line in [
+            "estimate --node 16 --app x264 --tdp 185 --mix 3",
+            "map --node 16 --policy dsrem --app x264",
+            "boost --node 16 --tdp 100",
+            "tsp --node 16 --threads 8",
+        ] {
+            assert!(
+                parse_line(line)
+                    .unwrap_err()
+                    .0
+                    .starts_with("unknown argument"),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn flags_may_come_before_or_between_operands() {
+        assert_eq!(
+            parse_line("events filter --limit 5 boost.transition")
+                .unwrap()
+                .0,
+            Command::Events(EventsAction::Filter {
+                path: None,
+                kind: "boost.transition".into(),
+                limit: 5,
+            })
+        );
+        assert_eq!(
+            parse_line("trace summarize --top 3 t.json").unwrap().0,
+            parse_line("trace summarize t.json --top 3").unwrap().0
+        );
+        assert_eq!(
+            parse_line("sweep --out o --resume spec.json").unwrap().0,
+            parse_line("sweep spec.json --out o --resume").unwrap().0
+        );
     }
 }
