@@ -75,5 +75,5 @@ pub use ntc::{iso_performance_comparison, IsoPerfComparison, OperatingPoint};
 pub use per_instance::run_per_instance_boosting;
 pub use phases::{run_phased_boosting, Phase};
 pub use sweep::{sweep_active_cores, SweepPoint};
-pub use trace::{PolicyTrace, TraceSample};
+pub use trace::{PolicyTrace, TraceSample, MAX_RESERVED_SAMPLES};
 pub use turbo::run_boosting;

@@ -19,12 +19,15 @@ pub struct TraceSample {
     pub power: Watts,
 }
 
-/// Most samples a new trace reserves room for: 2²⁰ samples (40 MiB),
-/// over 17 minutes of simulated time at the §6 1 ms period. The step
-/// count comes from a caller's duration and period, so an absurd one
-/// must not turn into an allocation that fails (and aborts the process)
-/// before the policy loop's first deadline check can cancel the run.
-const MAX_RESERVED_SAMPLES: usize = 1 << 20;
+/// Most control periods a run may be asked for up front, and so most
+/// samples a new trace reserves room for: 2²⁰ (40 MiB of samples), over
+/// 17 minutes of simulated time at the §6 1 ms period. Scenario
+/// validation refuses a Boost experiment with more periods, so a served
+/// job cannot hold a worker for a run that long. The step count comes
+/// from a caller's duration and period, so an absurd one must not turn
+/// into an allocation that fails (and aborts the process) before the
+/// policy loop's first deadline check can cancel the run.
+pub const MAX_RESERVED_SAMPLES: usize = 1 << 20;
 
 /// The full trace of a transient policy run (Figure 11's curves).
 #[derive(Debug, Clone, PartialEq, Default)]

@@ -23,7 +23,7 @@
 //! re-exports everything here.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use darksil_boost::{run_boosting_and_constant, PolicyConfig};
+use darksil_boost::{run_boosting_and_constant, PolicyConfig, MAX_RESERVED_SAMPLES};
 use darksil_json::{Json, JsonError, ObjReader, ToJson};
 use darksil_mapping::{place_contiguous, DsRem, Platform, TdpMap};
 use darksil_power::{TechnologyNode, VariationModel};
@@ -420,6 +420,18 @@ pub fn validate_scenario(s: &Scenario) -> Result<(), ScenarioError> {
                         "period_s must be positive, finite and at most duration_s, got {period_s}"
                     ),
                     "period_s",
+                ));
+            }
+            // Counted the way the policy loop counts its steps.
+            let periods = (duration_s / period_s).round();
+            if periods > MAX_RESERVED_SAMPLES as f64 {
+                return Err(experiment_err(
+                    format!(
+                        "duration_s {duration_s} at period_s {period_s} is {periods} control \
+                         periods; a run may take at most {}",
+                        MAX_RESERVED_SAMPLES
+                    ),
+                    "duration_s",
                 ));
             }
         }

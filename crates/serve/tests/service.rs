@@ -339,6 +339,15 @@ fn malformed_submissions_get_typed_4xx_not_panics() {
     let (status, _, _) = request(daemon.addr, "POST", "/v1/jobs", Some(body));
     assert_eq!(status, 400);
 
+    // So is a Boost run of 10¹⁵ control periods, before it holds a worker.
+    let body = r#"{"tenant": "acme", "scenario": {"name": "x", "node": 16,
+        "workload": [{"app": "x264", "instances": 1, "threads": 4}],
+        "experiment": {"type": "boost", "duration_s": 1e12, "period_s": 0.001}}}"#;
+    let (status, _, raw) = request(daemon.addr, "POST", "/v1/jobs", Some(body));
+    assert_eq!(status, 400);
+    let rendered = json_body(&raw).compact().to_string();
+    assert!(rendered.contains("experiment.duration_s"), "{rendered}");
+
     // Unknown job digests and paths are 404; wrong methods are 405.
     let (status, _, _) = request(daemon.addr, "GET", "/v1/jobs/0123456789abcdef", None);
     assert_eq!(status, 404);

@@ -146,19 +146,26 @@ fn unknown_scenario_fields_are_rejected() {
 
 #[test]
 fn an_endless_boost_scenario_is_cancelled_by_its_deadline() {
-    // 10¹² s at a 1 ms period passes validation; what stops it is the
-    // deadline a supervisor (a served job, say) runs it under, checked
-    // every control period. Sizing anything by its 10¹⁵ steps up front
-    // would fail the allocation and abort the process instead.
-    let scenario = parse_scenario(
-        r#"{
-          "name": "an endless turbo run",
-          "node": 16,
-          "workload": [{ "app": "x264", "instances": 3, "threads": 4 }],
-          "experiment": { "type": "boost", "duration_s": 1e12, "period_s": 0.001 }
-        }"#,
-    )
-    .unwrap();
+    let boost = |duration_s: &str| {
+        parse_scenario(&format!(
+            r#"{{
+              "name": "an endless turbo run",
+              "node": 16,
+              "workload": [{{ "app": "x264", "instances": 3, "threads": 4 }}],
+              "experiment": {{ "type": "boost", "duration_s": {duration_s}, "period_s": 0.001 }}
+            }}"#
+        ))
+    };
+    // Validation refuses more than 2²⁰ control periods, so a served
+    // submission cannot hold a worker for 10¹⁵ steps.
+    for too_long in ["1e12", "1049"] {
+        let err = boost(too_long).expect_err(too_long).to_string();
+        assert!(err.contains("experiment.duration_s"), "{too_long}: {err}");
+    }
+    // 10⁶ periods pass validation; what stops the run is the deadline a
+    // supervisor (a served job, say) runs it under, checked every
+    // control period.
+    let scenario = boost("1000").unwrap();
     let ctx = darksil_robust::RunContext::with_token(
         darksil_robust::CancellationToken::with_deadline(std::time::Duration::ZERO),
     );
