@@ -46,12 +46,6 @@ impl Engine {
         self.jobs
     }
 
-    /// Whether this engine bypasses the pool and runs jobs inline.
-    #[must_use]
-    pub fn is_serial(&self) -> bool {
-        self.jobs == 1
-    }
-
     /// Maps `f` over `items` in parallel, returning one result per item
     /// **in submission order**.
     ///
@@ -211,7 +205,7 @@ mod tests {
     fn serial_engine_spawns_no_threads_and_matches_parallel() {
         let caller = std::thread::current().id();
         let serial = Engine::new(1);
-        assert!(serial.is_serial());
+        assert_eq!(serial.jobs(), 1);
         let on_caller = serial.par_map(vec![(); 8], |()| {
             assert_eq!(std::thread::current().id(), caller);
             Ok(1_usize)

@@ -395,33 +395,6 @@ impl Registry {
         darksil_obs::counter_add("darksil_serve_bad_requests_total", &[], 1);
     }
 
-    /// Blocks until no job is queued or running, or until `grace`
-    /// elapses. Returns whether the table drained.
-    #[must_use]
-    pub fn wait_idle(&self, grace: Duration) -> bool {
-        let deadline = std::time::Instant::now() + grace;
-        let mut inner = self.lock();
-        loop {
-            let inflight = inner
-                .jobs
-                .values()
-                .filter(|j| j.state.is_inflight())
-                .count();
-            if inflight == 0 {
-                return true;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = match self.changed.wait_timeout(inner, deadline - now) {
-                Ok(pair) => pair,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            inner = guard;
-        }
-    }
-
     /// Returns transition lines past `cursor`, blocking up to
     /// `timeout` for new ones. The caller streams the returned lines,
     /// advances its cursor, and stops once `terminal` is set; an
@@ -540,22 +513,6 @@ mod tests {
         // Finishing a job frees both the tenant and global slots.
         registry.finish("a", JobState::Done, None, Vec::new(), 0.1, None);
         assert!(registry.admit("d", "carol").is_ok());
-    }
-
-    #[test]
-    fn wait_idle_observes_finishes_from_another_thread() {
-        let registry = std::sync::Arc::new(Registry::new(4, 4));
-        assert!(registry.admit("slow", "alice").is_ok());
-        let worker = {
-            let registry = std::sync::Arc::clone(&registry);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                registry.finish("slow", JobState::Done, None, Vec::new(), 0.0, None);
-            })
-        };
-        assert!(registry.wait_idle(Duration::from_secs(5)));
-        worker.join().expect("finisher thread");
-        assert!(!registry.get("slow").expect("record").state.is_inflight());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! point directly (std already links libc) and install a handler that
 //! does the only async-signal-safe thing possible — store into an
 //! atomic. The accept loop polls [`termination_requested`] between
-//! accepts. On non-Unix targets the latch still exists but only the
-//! `POST /v1/drain` endpoint can trip it.
+//! accepts. On non-Unix targets nothing trips the latch; `POST
+//! /v1/drain`, which sets the server's own draining flag, still works.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -49,21 +49,8 @@ pub fn install() {
     unix::install();
 }
 
-/// Whether a SIGTERM/SIGINT has been observed (or a drain was
-/// requested programmatically).
+/// Whether a SIGTERM/SIGINT has been observed.
 #[must_use]
 pub fn termination_requested() -> bool {
     TERMINATE.load(Ordering::SeqCst)
-}
-
-/// Trips the latch without a signal — used by `POST /v1/drain` and by
-/// tests.
-pub fn request_termination() {
-    TERMINATE.store(true, Ordering::SeqCst);
-}
-
-/// Clears the latch. Tests (and a daemon restarting its accept loop
-/// in-process) need a way back to the accepting state.
-pub fn reset() {
-    TERMINATE.store(false, Ordering::SeqCst);
 }

@@ -70,12 +70,6 @@ impl<'a> TspCalculator<'a> {
         Self { plan, model, t_dtm }
     }
 
-    /// The critical temperature this calculator budgets against.
-    #[must_use]
-    pub fn critical_temperature(&self) -> Celsius {
-        self.t_dtm
-    }
-
     /// Per-core TSP for a *specific* set of active cores: the uniform
     /// per-active-core power at which the hottest core reaches exactly
     /// `T_DTM` (inactive cores are power-gated).
@@ -187,18 +181,6 @@ impl<'a> TspCalculator<'a> {
     pub fn worst_case(&self, m: usize) -> Result<Watts, ThermalError> {
         self.for_mapping(&self.worst_case_mapping(m))
     }
-
-    /// The whole TSP curve `m ↦ m · TSP(m)` (total chip power) for
-    /// `m = 1..=core_count`, useful for plotting against a flat TDP.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TspCalculator::for_mapping`] errors.
-    pub fn total_power_curve(&self) -> Result<Vec<(usize, Watts)>, ThermalError> {
-        (1..=self.plan.core_count())
-            .map(|m| Ok((m, self.worst_case(m)? * m as f64)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -299,20 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn total_power_curve_is_increasing_in_m() {
-        // Although per-core TSP falls, the *total* safe power grows
-        // with more (spread) active cores... for the worst-case blob it
-        // grows monotonically as edge relief accumulates.
-        let (plan, model) = setup();
-        let tsp = TspCalculator::new(&plan, &model, Celsius::new(80.0));
-        let curve = tsp.total_power_curve().expect("test value");
-        assert_eq!(curve.len(), 100);
-        let first = curve.first().expect("test value").1;
-        let last = curve.last().expect("test value").1;
-        assert!(last > first);
-    }
-
-    #[test]
     fn empty_mapping_is_unbounded() {
         let (plan, model) = setup();
         let tsp = TspCalculator::new(&plan, &model, Celsius::new(80.0));
@@ -336,6 +304,5 @@ mod tests {
         let t80 = TspCalculator::new(&plan, &model, Celsius::new(80.0));
         let t90 = TspCalculator::new(&plan, &model, Celsius::new(90.0));
         assert!(t90.worst_case(50).expect("test value") > t80.worst_case(50).expect("test value"));
-        assert_eq!(t80.critical_temperature(), Celsius::new(80.0));
     }
 }

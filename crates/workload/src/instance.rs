@@ -135,61 +135,6 @@ impl Workload {
         Ok(w)
     }
 
-    /// A mix of the three highest-ILP applications (blackscholes,
-    /// swaptions, x264) — the workloads that profit most from V/f
-    /// scaling (§3.3).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidThreadCount`] for invalid thread
-    /// counts.
-    pub fn high_ilp_mix(instances: usize, threads: usize) -> Result<Self, WorkloadError> {
-        let apps = [
-            ParsecApp::Blackscholes,
-            ParsecApp::Swaptions,
-            ParsecApp::X264,
-        ];
-        (0..instances)
-            .map(|i| AppInstance::new(apps[i % apps.len()], threads))
-            .collect::<Result<Vec<_>, _>>()
-            .map(|v| v.into_iter().collect())
-    }
-
-    /// A mix of the three highest-TLP applications (swaptions,
-    /// blackscholes, x264 by parallel fraction) — the workloads that
-    /// profit most from more, slower cores (§3.3).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidThreadCount`] for invalid thread
-    /// counts.
-    pub fn high_tlp_mix(instances: usize, threads: usize) -> Result<Self, WorkloadError> {
-        let apps = [
-            ParsecApp::Swaptions,
-            ParsecApp::Blackscholes,
-            ParsecApp::X264,
-        ];
-        (0..instances)
-            .map(|i| AppInstance::new(apps[i % apps.len()], threads))
-            .collect::<Result<Vec<_>, _>>()
-            .map(|v| v.into_iter().collect())
-    }
-
-    /// A mix of the memory-bound / poorly scaling applications (canneal,
-    /// dedup, ferret).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidThreadCount`] for invalid thread
-    /// counts.
-    pub fn memory_bound_mix(instances: usize, threads: usize) -> Result<Self, WorkloadError> {
-        let apps = [ParsecApp::Canneal, ParsecApp::Dedup, ParsecApp::Ferret];
-        (0..instances)
-            .map(|i| AppInstance::new(apps[i % apps.len()], threads))
-            .collect::<Result<Vec<_>, _>>()
-            .map(|v| v.into_iter().collect())
-    }
-
     /// Appends an instance.
     pub fn push(&mut self, instance: AppInstance) {
         self.instances.push(instance);
@@ -333,22 +278,6 @@ mod tests {
         let x264_count = w.iter().filter(|i| i.app() == ParsecApp::X264).count();
         assert_eq!(x264_count, 2);
         assert_eq!(w.total_threads(), 56);
-    }
-
-    #[test]
-    fn named_mixes_have_the_advertised_character() {
-        let core = CoreModel::alpha_21264();
-        let f = Hertz::from_ghz(3.0);
-        let ilp = Workload::high_ilp_mix(6, 8).expect("valid workload");
-        let mem = Workload::memory_bound_mix(6, 8).expect("valid workload");
-        assert_eq!(ilp.len(), 6);
-        assert_eq!(mem.len(), 6);
-        // ILP mix out-runs the memory-bound mix at the same settings.
-        assert!(ilp.total_gips(&core, f) > mem.total_gips(&core, f) * 2.0);
-        // TLP mix keeps high 8-thread efficiency.
-        let tlp = Workload::high_tlp_mix(6, 8).expect("valid workload");
-        let avg_eff: f64 = tlp.iter().map(|i| i.profile().efficiency(8)).sum::<f64>() / 6.0;
-        assert!(avg_eff > 0.5, "avg efficiency {avg_eff}");
     }
 
     #[test]
