@@ -69,73 +69,43 @@ const REPRO: [Spec<Options>; 1] = [Spec {
     operands: ARTEFACTS,
     max_operands: usize::MAX,
     flags: &[
-        Flag::value(
-            "--json",
-            "DIR",
-            "a directory",
-            "additionally write machine-readable series to DIR",
+        Flag::value("--json", "DIR", "a directory")
+            .help("additionally write machine-readable series to DIR"),
+        Flag::switch("--paper").help("run transients at the paper's full horizons (slow)"),
+        Flag::value("--inject", "A[:KIND]", "an artefact name").help(
+            "inject a fault into artefact A. KIND: nan (default, NaN power into the thermal \
+             solver — not retryable), hang (cooperative spin until the deadline cancels it), \
+             slow (1.5 s stall before the work), transient (fails the first attempt, \
+             succeeds on retry)",
         ),
-        Flag::switch(
-            "--paper",
-            "run transients at the paper's full horizons (slow)",
+        Flag::switch("--no-cache").help("recompute every artefact, bypassing the result cache"),
+        Flag::value("--cache-dir", "DIR", "a directory")
+            .help("result-cache location (default results/.cache)"),
+        Flag::value("--deadline", "SECS", "a positive number of seconds").help(
+            "per-attempt wall-clock budget for every artefact, overriding the class defaults \
+             (fast 60 s, steady-state thermal 300 s, transient 600 s)",
         ),
-        Flag::value(
-            "--inject",
-            "A[:KIND]",
-            "an artefact name",
-            "inject a fault into artefact A. KIND: nan (default, NaN power into the \
-             thermal solver — not retryable), hang (cooperative spin until the deadline \
-             cancels it), slow (1.5 s stall before the work), transient (fails the first \
-             attempt, succeeds on retry)",
+        Flag::value("--retries", "N", "a non-negative integer").help(
+            "retries per artefact after the first attempt (default 2; only retryable error \
+             classes re-run)",
         ),
-        Flag::switch(
-            "--no-cache",
-            "recompute every artefact, bypassing the result cache",
+        Flag::switch("--resume").help(
+            "continue an interrupted run: artefacts the journal records as done/degraded are \
+             skipped, interrupted and failed ones are re-queued. The selection, fidelity and \
+             injection flags must match the journalled run.",
         ),
-        Flag::value(
-            "--cache-dir",
-            "DIR",
-            "a directory",
-            "result-cache location (default results/.cache)",
+        Flag::value("--journal", "PATH", "a file path")
+            .help("journal location (default results/run_journal.json)"),
+        Flag::switch("--profile").help(
+            "record a darksil-obs trace of the run: writes results/trace_repro.json (the span \
+             tree — inspect with `darksil trace summarize`) and BENCH_repro.json (aggregated \
+             per-phase timings with regression bounds; the committed copy is the CI \
+             baseline). Artefact payloads are unaffected",
         ),
-        Flag::value(
-            "--deadline",
-            "SECS",
-            "a positive number of seconds",
-            "per-attempt wall-clock budget for every artefact, overriding the class \
-             defaults (fast 60 s, steady-state thermal 300 s, transient 600 s)",
-        ),
-        Flag::value(
-            "--retries",
-            "N",
-            "a non-negative integer",
-            "retries per artefact after the first attempt (default 2; only retryable \
-             error classes re-run)",
-        ),
-        Flag::switch(
-            "--resume",
-            "continue an interrupted run: artefacts the journal records as done/degraded \
-             are skipped, interrupted and failed ones are re-queued. The selection, \
-             fidelity and injection flags must match the journalled run.",
-        ),
-        Flag::value(
-            "--journal",
-            "PATH",
-            "a file path",
-            "journal location (default results/run_journal.json)",
-        ),
-        Flag::switch(
-            "--profile",
-            "record a darksil-obs trace of the run: writes results/trace_repro.json (the \
-             span tree — inspect with `darksil trace summarize`) and BENCH_repro.json \
-             (aggregated per-phase timings with regression bounds; the committed copy is \
-             the CI baseline). Artefact payloads are unaffected",
-        ),
-        Flag::switch(
-            "--events",
+        Flag::switch("--events").help(
             "record the domain event stream (thermal samples, DVFS transitions, mapping \
-             decisions, TSP budgets): writes results/events_<selection>.jsonl — inspect \
-             with `darksil events summarize` or render with `darksil report` — plus \
+             decisions, TSP budgets): writes results/events_<selection>.jsonl — inspect with \
+             `darksil events summarize` or render with `darksil report` — plus \
              results/trace_repro.json. The stream is byte-identical at any --jobs setting",
         ),
     ],

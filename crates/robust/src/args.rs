@@ -50,25 +50,20 @@ pub struct Flag {
 impl Flag {
     /// A flag followed by a value, shown as `value` in help.
     #[must_use]
-    pub const fn value(
-        name: &'static str,
-        value: &'static str,
-        expects: &'static str,
-        help: &'static str,
-    ) -> Self {
+    pub const fn value(name: &'static str, value: &'static str, expects: &'static str) -> Self {
         Self {
             name,
             value: Some(value),
             expects,
             required: false,
-            help,
+            help: "",
         }
     }
 
     /// A flag that takes no value.
     #[must_use]
-    pub const fn switch(name: &'static str, help: &'static str) -> Self {
-        let mut flag = Self::value(name, "", "", help);
+    pub const fn switch(name: &'static str) -> Self {
+        let mut flag = Self::value(name, "", "");
         flag.value = None;
         flag
     }
@@ -79,13 +74,17 @@ impl Flag {
         self.required = true;
         self
     }
+
+    /// The same flag, with its entry for a flag [`reference`].
+    #[must_use]
+    pub const fn help(mut self, help: &'static str) -> Self {
+        self.help = help;
+        self
+    }
 }
 
 /// `--jobs N`, the worker count; it lands in the engine's default.
-pub const JOBS: Flag = Flag::value(
-    "--jobs",
-    "N",
-    "a value",
+const JOBS: Flag = Flag::value("--jobs", "N", "a value").help(
     "worker threads (default: DARKSIL_JOBS, else the available parallelism; an \
      unparseable DARKSIL_JOBS is ignored with a warning); --jobs 1 runs serially",
 );
@@ -93,7 +92,7 @@ pub const JOBS: Flag = Flag::value(
 /// The flags every command line accepts, anywhere on the line.
 pub const GLOBAL: [Flag; 2] = [
     JOBS,
-    Flag::switch("--help", "print this help and exit (also -h)"),
+    Flag::switch("--help").help("print this help and exit (also -h)"),
 ];
 
 /// One command of a binary.
@@ -337,9 +336,9 @@ mod tests {
     }
 
     const FLAGS: &[Flag] = &[
-        Flag::value("--out", "DIR", "a directory", "where to write"),
-        Flag::value("--node", "NM", "a value", "").required(),
-        Flag::switch("--dry", "only plan"),
+        Flag::value("--out", "DIR", "a directory").help("where to write"),
+        Flag::value("--node", "NM", "a value").required(),
+        Flag::switch("--dry").help("only plan"),
     ];
 
     /// What a test command line read: operands, `--out`, `--dry`.

@@ -257,7 +257,7 @@ impl CacheAction {
 }
 
 /// `--node`, which every simulation subcommand requires.
-const NODE: Flag = Flag::value("--node", "<22|16|11|8>", "a value", "").required();
+const NODE: Flag = Flag::value("--node", "<22|16|11|8>", "a value").required();
 
 /// `darksil`'s subcommands: the words that select each one, its
 /// operands and flags, and the constructor of its [`Command`].
@@ -268,11 +268,11 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         max_operands: 0,
         flags: &[
             NODE,
-            Flag::value("--app", "<name>", "a value", "").required(),
-            Flag::value("--threads", "N", "a value", ""),
-            Flag::value("--freq", "GHZ", "a value", ""),
-            Flag::value("--tdp", "WATTS", "a value", ""),
-            Flag::switch("--thermal", ""),
+            Flag::value("--app", "<name>", "a value").required(),
+            Flag::value("--threads", "N", "a value"),
+            Flag::value("--freq", "GHZ", "a value"),
+            Flag::value("--tdp", "WATTS", "a value"),
+            Flag::switch("--thermal"),
         ],
         build: |p| {
             let tdp = p.number("--tdp")?.map(Watts::new);
@@ -293,7 +293,7 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         words: "tsp",
         operands: "",
         max_operands: 0,
-        flags: &[NODE, Flag::value("--active", "N", "a value", "")],
+        flags: &[NODE, Flag::value("--active", "N", "a value")],
         build: |p| {
             let node = p.require("--node", parse_node)?;
             Ok(Command::Tsp {
@@ -308,9 +308,9 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         max_operands: 0,
         flags: &[
             NODE,
-            Flag::value("--policy", "<tdpmap|dsrem>", "a value", "").required(),
-            Flag::value("--mix", "N", "a value", ""),
-            Flag::value("--tdp", "W", "a value", ""),
+            Flag::value("--policy", "<tdpmap|dsrem>", "a value").required(),
+            Flag::value("--mix", "N", "a value"),
+            Flag::value("--tdp", "W", "a value"),
         ],
         build: |p| {
             Ok(Command::Map {
@@ -331,9 +331,9 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         max_operands: 0,
         flags: &[
             NODE,
-            Flag::value("--app", "NAME", "a value", ""),
-            Flag::value("--instances", "N", "a value", ""),
-            Flag::value("--duration", "S", "a value", ""),
+            Flag::value("--app", "NAME", "a value"),
+            Flag::value("--instances", "N", "a value"),
+            Flag::value("--duration", "S", "a value"),
         ],
         build: |p| {
             Ok(Command::Boost {
@@ -348,7 +348,7 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         words: "run",
         operands: "<scenario.json>",
         max_operands: 1,
-        flags: &[Flag::switch("--json", "")],
+        flags: &[Flag::switch("--json")],
         build: |p| {
             let path = operand(p, 0, "run expects a scenario file")?;
             let json = p.has("--json");
@@ -360,8 +360,8 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         operands: "<stats|verify|clear>",
         max_operands: 1,
         flags: &[
-            Flag::value("--dir", "DIR", "a value", ""),
-            Flag::switch("--evict", ""),
+            Flag::value("--dir", "DIR", "a value"),
+            Flag::switch("--evict"),
         ],
         build: |p| {
             let action = operand(p, 0, "cache expects an action (stats|verify|clear)")?;
@@ -379,7 +379,7 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         words: "trace summarize",
         operands: "[PATH]",
         max_operands: 1,
-        flags: &[Flag::value("--top", "N", "a value", "")],
+        flags: &[Flag::value("--top", "N", "a value")],
         build: |p| {
             let path = p.operands.first().cloned();
             let path = path.unwrap_or_else(|| DEFAULT_TRACE_PATH.into());
@@ -414,7 +414,7 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         words: "events filter",
         operands: "<KIND> [RUN|PATH]",
         max_operands: 2,
-        flags: &[Flag::value("--limit", "N", "a value", "")],
+        flags: &[Flag::value("--limit", "N", "a value")],
         build: |p| {
             Ok(Command::Events(EventsAction::Filter {
                 path: p.operands.get(1).cloned(),
@@ -438,8 +438,8 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         operands: "[RUN|PATH]",
         max_operands: 1,
         flags: &[
-            Flag::value("--trace", "PATH", "a value", ""),
-            Flag::value("--out", "PATH", "a value", ""),
+            Flag::value("--trace", "PATH", "a value"),
+            Flag::value("--out", "PATH", "a value"),
         ],
         build: |p| {
             Ok(Command::Report {
@@ -454,11 +454,11 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         operands: "",
         max_operands: 0,
         flags: &[
-            Flag::value("--seed", "N", "a value", ""),
-            Flag::value("--cases", "N", "a value", ""),
-            Flag::value("--inject", "nan|time|tsp", "a mode", ""),
-            Flag::value("--corpus", "DIR", "a directory", ""),
-            Flag::switch("--replay", ""),
+            Flag::value("--seed", "N", "a value"),
+            Flag::value("--cases", "N", "a value"),
+            Flag::value("--inject", "nan|time|tsp", "a mode"),
+            Flag::value("--corpus", "DIR", "a directory"),
+            Flag::switch("--replay"),
         ],
         build: |p| {
             let inject = p.get("--inject", |mode| {
@@ -483,9 +483,9 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         operands: "",
         max_operands: 0,
         flags: &[
-            Flag::value("--seed", "N", "a value", ""),
-            Flag::value("--cases", "N", "a value", ""),
-            Flag::value("--out", "DIR", "a directory", ""),
+            Flag::value("--seed", "N", "a value"),
+            Flag::value("--cases", "N", "a value"),
+            Flag::value("--out", "DIR", "a directory"),
         ],
         build: |p| {
             Ok(Command::Tournament {
@@ -500,10 +500,10 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         operands: "<spec.json>",
         max_operands: 1,
         flags: &[
-            Flag::value("--out", "DIR", "a directory", ""),
-            Flag::value("--cache-dir", "DIR", "a directory", ""),
-            Flag::switch("--no-cache", ""),
-            Flag::switch("--resume", ""),
+            Flag::value("--out", "DIR", "a directory"),
+            Flag::value("--cache-dir", "DIR", "a directory"),
+            Flag::switch("--no-cache"),
+            Flag::switch("--resume"),
         ],
         build: |p| {
             let path = operand(p, 0, "sweep expects a spec file")?;
@@ -525,12 +525,12 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         operands: "",
         max_operands: 0,
         flags: &[
-            Flag::value("--addr", "HOST:PORT", "host:port", ""),
-            Flag::value("--max-inflight", "N", "a value", ""),
-            Flag::value("--tenant-quota", "N", "a value", ""),
-            Flag::value("--state-dir", "DIR", "a directory", ""),
-            Flag::value("--deadline-s", "S", "seconds", ""),
-            Flag::value("--drain-grace-s", "S", "seconds", ""),
+            Flag::value("--addr", "HOST:PORT", "host:port"),
+            Flag::value("--max-inflight", "N", "a value"),
+            Flag::value("--tenant-quota", "N", "a value"),
+            Flag::value("--state-dir", "DIR", "a directory"),
+            Flag::value("--deadline-s", "S", "seconds"),
+            Flag::value("--drain-grace-s", "S", "seconds"),
         ],
         build: |p| {
             let max_inflight = p.integer("--max-inflight")?.unwrap_or(64);
@@ -561,9 +561,9 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         operands: "",
         max_operands: 0,
         flags: &[
-            Flag::value("--addr", "HOST:PORT", "host:port", ""),
-            Flag::value("--interval", "S", "seconds", ""),
-            Flag::switch("--once", ""),
+            Flag::value("--addr", "HOST:PORT", "host:port"),
+            Flag::value("--interval", "S", "seconds"),
+            Flag::switch("--once"),
         ],
         build: |p| {
             let interval_s = p.number("--interval")?.unwrap_or(2.0);
@@ -903,8 +903,8 @@ pub fn run(command: &Command) -> Result<(), Box<dyn std::error::Error>> {
         } => {
             let config = darksil_serve::ServeConfig {
                 addr: addr.clone(),
-                // --jobs is stripped by `extract_jobs` and lands in
-                // `darksil_engine::set_default_jobs`; 0 defers to it.
+                // --jobs lands in `darksil_engine::set_default_jobs`
+                // (see `parse`); 0 defers to it.
                 jobs: 0,
                 max_inflight: *max_inflight,
                 tenant_quota: *tenant_quota,
@@ -1072,7 +1072,7 @@ fn run_events(action: &EventsAction) -> Result<(), Box<dyn std::error::Error>> {
                     println!("VIOLATION {violation}");
                 }
                 let first = &violations[0];
-                return Err(format!(
+                return Err(Box::new(ParseError(format!(
                     "invariant `{}` violated (first at seq [{}])",
                     first.invariant,
                     first
@@ -1081,8 +1081,7 @@ fn run_events(action: &EventsAction) -> Result<(), Box<dyn std::error::Error>> {
                         .map(u64::to_string)
                         .collect::<Vec<_>>()
                         .join(",")
-                )
-                .into());
+                ))));
             }
         }
     }
@@ -1169,11 +1168,10 @@ fn run_fuzz(
             path.display()
         );
     }
-    Err(format!(
+    Err(Box::new(ParseError(format!(
         "{} of {cases} cases violated physical invariants",
         violated.len()
-    )
-    .into())
+    ))))
 }
 
 /// Executes `darksil fuzz --replay`: the corpus regression gate.
@@ -1267,7 +1265,9 @@ fn run_fuzz_replay(corpus: &str) -> Result<(), Box<dyn std::error::Error>> {
         entries.len()
     );
     if failures > 0 {
-        return Err(format!("{failures} corpus reproducer(s) failed replay").into());
+        return Err(Box::new(ParseError(format!(
+            "{failures} corpus reproducer(s) failed replay"
+        ))));
     }
     Ok(())
 }
@@ -1403,7 +1403,14 @@ fn run_report(
     let stream = load_events(&events_path)?;
     let label = run_label(&events_path);
     let trace_loaded: Option<darksil_obs::Trace> = match trace {
-        Some(path) => Some(load_json("trace", path)?),
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| ParseError(format!("cannot read trace '{path}': {e}")))?;
+            Some(
+                darksil_json::from_str(&text)
+                    .map_err(|e| ParseError(format!("'{path}' is not a valid trace: {e}")))?,
+            )
+        }
         // No explicit trace: use the default profile output when it
         // exists, quietly skipping the Gantt/histograms otherwise.
         None => std::fs::read_to_string(DEFAULT_TRACE_PATH)
@@ -1434,25 +1441,27 @@ fn run_report(
     Ok(())
 }
 
-/// Reads the JSON `what` (a trace or a baseline) at `path`.
-fn load_json<T: darksil_json::FromJson>(what: &str, path: &str) -> Result<T, ParseError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {what} '{path}': {e}"))?;
-    darksil_json::from_str(&text).map_err(|e| format!("'{path}' is not a valid {what}: {e}").into())
-}
-
 /// Executes `darksil trace summarize|compare`.
 fn run_trace(action: &TraceAction) -> Result<(), Box<dyn std::error::Error>> {
     match action {
         TraceAction::Summarize { path, top } => {
-            let trace: darksil_obs::Trace = load_json("trace", path)?;
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| ParseError(format!("cannot read trace '{path}': {e}")))?;
+            let trace: darksil_obs::Trace = darksil_json::from_str(&text)
+                .map_err(|e| ParseError(format!("'{path}' is not a valid trace: {e}")))?;
             println!("trace {path}:");
             println!("{}", trace.render_summary(*top));
             Ok(())
         }
         TraceAction::Compare { baseline, current } => {
-            let base: darksil_obs::BenchBaseline = load_json("baseline", baseline)?;
-            let cur: darksil_obs::BenchBaseline = load_json("baseline", current)?;
+            let load = |path: &str| -> Result<darksil_obs::BenchBaseline, ParseError> {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| ParseError(format!("cannot read baseline '{path}': {e}")))?;
+                darksil_json::from_str(&text)
+                    .map_err(|e| ParseError(format!("'{path}' is not a valid baseline: {e}")))
+            };
+            let base = load(baseline)?;
+            let cur = load(current)?;
             let regressions = base.regressions_in(&cur);
             println!(
                 "baseline {baseline} (selection '{}', jobs {}) vs {current} (selection '{}', jobs {}):",
@@ -1475,11 +1484,10 @@ fn run_trace(action: &TraceAction) -> Result<(), Box<dyn std::error::Error>> {
             for regression in &regressions {
                 println!("  REGRESSION {regression}");
             }
-            Err(format!(
+            Err(Box::new(ParseError(format!(
                 "{} perf regression(s) beyond baseline bounds",
                 regressions.len()
-            )
-            .into())
+            ))))
         }
     }
 }
@@ -1524,11 +1532,10 @@ fn run_cache(
         println!("  evicted {removed} corrupt entries");
         Ok(())
     } else {
-        Err(format!(
+        Err(Box::new(ParseError(format!(
             "{} corrupt cache entries found (re-run with --evict to remove them)",
             corrupt.len()
-        )
-        .into())
+        ))))
     }
 }
 
