@@ -1,7 +1,7 @@
 //! The workspace's one command-line parser, behind `darksil` and
 //! `repro`. A binary declares each command once, as a [`Spec`] with a
 //! table of [`Flag`]s: [`parse`] reads argv against it in one pass and
-//! the help renderers ([`flag_words`], [`reference`]) read the same
+//! the help renderers ([`flag_words`], [`reference()`]) read the same
 //! table, so a flag cannot be accepted but undocumented. The [`GLOBAL`]
 //! flags, `--jobs N` and `--help`/`-h`, are accepted anywhere.
 
@@ -43,7 +43,7 @@ pub struct Flag {
     pub expects: &'static str,
     /// Whether the command needs it ([`Args::require`]).
     pub required: bool,
-    /// Its entry in a flag [`reference`]; empty where help is prose.
+    /// Its entry in a flag [`reference()`]; empty where help is prose.
     pub help: &'static str,
 }
 
@@ -75,7 +75,7 @@ impl Flag {
         self
     }
 
-    /// The same flag, with its entry for a flag [`reference`].
+    /// The same flag, with its entry for a flag [`reference()`].
     #[must_use]
     pub const fn help(mut self, help: &'static str) -> Self {
         self.help = help;

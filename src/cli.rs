@@ -295,9 +295,8 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         max_operands: 0,
         flags: &[NODE, Flag::value("--active", "N", "a value")],
         build: |p| {
-            let node = p.require("--node", parse_node)?;
             Ok(Command::Tsp {
-                node,
+                node: p.require("--node", parse_node)?,
                 active: p.integer("--active")?,
             })
         },
