@@ -317,14 +317,19 @@ fn options(p: &Args) -> Result<Options, ParseError> {
     } else if all && p.operands.len() > 1 {
         return Err("`all` cannot be combined with artefact names".into());
     }
-    let mut selected: Vec<Runner> = Vec::new();
-    for name in p.operands.iter().filter(|name| *name != "all") {
-        let runner = RUNNERS.iter().find(|(known, _)| known == name);
-        let runner = runner.ok_or_else(|| format!("unknown artefact {name}"))?;
-        if !selected.iter().any(|(n, _)| n == &runner.0) {
-            selected.push(*runner);
+    let selected: Vec<Runner> = if all {
+        RUNNERS.to_vec()
+    } else {
+        let mut picked: Vec<Runner> = Vec::new();
+        for name in &p.operands {
+            let runner = RUNNERS.iter().find(|(known, _)| known == name);
+            let runner = runner.ok_or_else(|| format!("unknown artefact {name}"))?;
+            if !picked.iter().any(|(n, _)| n == &runner.0) {
+                picked.push(*runner);
+            }
         }
-    }
+        picked
+    };
     let cache_dir = p.text("--cache-dir").unwrap_or(DEFAULT_CACHE_DIR);
     let journal_path = p.text("--journal").unwrap_or(DEFAULT_JOURNAL_PATH);
     Ok(Options {
@@ -338,7 +343,7 @@ fn options(p: &Args) -> Result<Options, ParseError> {
         cache: (!p.has("--no-cache")).then(|| ResultCache::open(cache_dir, CACHE_SALT)),
         deadline_override: deadline.map(Duration::from_secs_f64),
         retries: p.integer("--retries")?.unwrap_or(2),
-        selected: if all { RUNNERS.to_vec() } else { selected },
+        selected,
         all,
         resume: p.has("--resume"),
         journal_path: PathBuf::from(journal_path),

@@ -145,8 +145,11 @@ pub fn parse<C>(specs: &[Spec<C>], argv: &[String]) -> Result<Parsed<C>, ParseEr
         return Ok(Parsed::Help);
     }
     let mut spec = specs.iter().find(|s| s.words.is_empty());
-    let (mut words, mut jobs, mut pending) = (Vec::new(), None, None::<&Flag>);
-    let (mut operands, mut given) = (Vec::new(), Vec::new());
+    let mut words = Vec::new();
+    let mut jobs = None;
+    let mut pending: Option<&Flag> = None;
+    let mut operands = Vec::new();
+    let mut given = Vec::new();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         if arg == JOBS.name {

@@ -506,7 +506,8 @@ const SUBCOMMANDS: &[Spec<Command>] = &[
         ],
         build: |p| {
             let path = operand(p, 0, "sweep expects a spec file")?;
-            let (cache_dir, no_cache) = (p.text("--cache-dir"), p.has("--no-cache"));
+            let cache_dir = p.text("--cache-dir");
+            let no_cache = p.has("--no-cache");
             if no_cache && cache_dir.is_some() {
                 return Err("--no-cache and --cache-dir are mutually exclusive".into());
             }
